@@ -255,7 +255,7 @@ const PR4_MSM64_NS: [(&str, f64); 7] = [
 
 /// The metrics [`measure_metric`] knows how to re-run; every manifest
 /// gate names one of these.
-const METRICS: [&str; 10] = [
+const METRICS: [&str; 11] = [
     "fq_mul",
     "g1_mul",
     "g1_mul_fixed",
@@ -266,6 +266,7 @@ const METRICS: [&str; 10] = [
     "kzg_commit_256",
     "kzg_open_batch_8",
     "kzg_verify_batch_8",
+    "decode_g2",
 ];
 
 /// One row of the regression-gate manifest.
@@ -281,7 +282,7 @@ struct Gate {
 /// used as the fallback when the committed file is missing or predates
 /// the manifest. `--bench-regress` itself always prefers the *committed*
 /// `results/BENCH_fieldops.json`, so re-baselining is a one-file edit.
-const DEFAULT_GATES: [(&str, &str, f64, f64); 12] = [
+const DEFAULT_GATES: [(&str, &str, f64, f64); 14] = [
     // The historical PR 2 floor contract on the deepest tower.
     ("fq_mul", "BLS24-509", 2800.5, 10.0),
     // Variable-base GLV/JSF path vs the committed PR 4 median.
@@ -306,6 +307,10 @@ const DEFAULT_GATES: [(&str, &str, f64, f64); 12] = [
     // settled through the accumulator in two prepared Miller loops.
     ("kzg_verify_batch_8", "BN254N", 5_753_566.0, 30.0),
     ("kzg_verify_batch_8", "BLS12-381", 8_993_052.0, 30.0),
+    // Strict compressed G2 decode: the norm-method F_q square root plus
+    // the GLS subgroup check.
+    ("decode_g2", "BN254N", 618_178.0, 30.0),
+    ("decode_g2", "BLS12-381", 463_241.0, 30.0),
 ];
 
 fn default_gates() -> Vec<Gate> {
@@ -543,6 +548,15 @@ fn measure_metric(metric: &str, curve: &Arc<Curve>) -> f64 {
             kzg.verify_batch(&claims).expect("honest batch verifies");
             bench_ns(|| {
                 black_box(kzg.verify_batch(black_box(&claims)).is_ok());
+            })
+        }
+        "decode_g2" => {
+            // A compressed non-generator key: the strict decode pays the
+            // F_q square root and the subgroup check, as on the wire.
+            let q = curve.g2_mul(curve.g2_generator(), &bench_scalar(curve));
+            let bytes = curve.encode_g2(&q, finesse_curves::Compression::Compressed);
+            bench_ns(|| {
+                black_box(curve.decode_g2(black_box(&bytes)).expect("honest encoding"));
             })
         }
         other => unreachable!("unvalidated metric `{other}`"),

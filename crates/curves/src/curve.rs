@@ -18,6 +18,7 @@ use crate::point::{
 };
 use crate::precompute::{G1Precomputed, G2Precomputed, Precomputed};
 use crate::spec::{CurveSpec, Family};
+use crate::wire::{fp_sign, fq_sign};
 use finesse_ff::{BigInt, BigUint, FieldCtxError, Fp, FpCtx, Fq, TowerCtx, TowerError};
 use std::collections::HashMap;
 use std::fmt;
@@ -552,8 +553,7 @@ impl Curve {
                 }
                 debug_assert!(is_identity(ops, &jac_mul(ops, &g, r)));
                 // Canonicalise y to the lexicographically smaller root.
-                let y_neg = (-&g.y).to_biguint();
-                let g = if y_neg < g.y.to_biguint() {
+                let g = if fp_sign(&g.y) {
                     affine_neg(ops, &g)
                 } else {
                     g
@@ -682,6 +682,14 @@ impl Curve {
                 continue;
             }
             if is_identity(&ops, &jac_mul(&ops, &g, r)) {
+                // Canonicalise y to the lexicographically smaller root,
+                // as for G1, so the generator does not depend on which
+                // root the square-root algorithm happens to return.
+                let g = if fq_sign(tower, &g.y) {
+                    affine_neg(&ops, &g)
+                } else {
+                    g
+                };
                 return Some(g);
             }
         }

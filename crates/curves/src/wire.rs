@@ -42,13 +42,16 @@
 //!    [`crate::subgroup`] ([`DecodeError::NotInSubgroup`]).
 //!
 //! The checks run cheapest-first so malformed traffic is rejected
-//! before any expensive arithmetic: a wrong length costs a comparison,
-//! an off-curve x one Legendre/sqrt attempt, and only well-formed
-//! curve points reach the half-width subgroup ladder.
+//! before any expensive arithmetic. A wrong length costs a comparison.
+//! A compressed x costs its square root: one F_p exponentiation for
+//! G1, and about three for G2 over F_p2 (the norm method of
+//! [`finesse_ff::TowerCtx::fq_sqrt`]; about ten on BLS24's F_p4). Only
+//! curve points then reach the subgroup ladder, the largest single step
+//! of an honest decode.
 
 use crate::curve::Curve;
 use crate::point::Affine;
-use finesse_ff::{FieldBytesError, Fp, Fq};
+use finesse_ff::{FieldBytesError, Fp, Fq, TowerCtx};
 use std::fmt;
 
 /// Whether to emit the x-only (compressed) or full affine
@@ -138,7 +141,7 @@ const TAG_UNCOMPRESSED: u8 = 0x04;
 
 /// True iff `y` is lexicographically greater than `−y` (the canonical
 /// sign bit) for a base-field coordinate.
-fn fp_sign(y: &Fp) -> bool {
+pub(crate) fn fp_sign(y: &Fp) -> bool {
     if y.is_zero() {
         return false;
     }
@@ -149,8 +152,8 @@ fn fp_sign(y: &Fp) -> bool {
 
 /// Same for a twist-field coordinate: compare from the highest tower
 /// coefficient down.
-fn fq_sign(curve: &Curve, y: &Fq) -> bool {
-    let neg = curve.tower().fq_neg(y);
+pub(crate) fn fq_sign(tower: &TowerCtx, y: &Fq) -> bool {
+    let neg = tower.fq_neg(y);
     for (a, b) in y.coeffs().iter().zip(neg.coeffs()).rev() {
         let (a, b) = (a.to_biguint(), b.to_biguint());
         if a != b {
@@ -220,7 +223,7 @@ impl Curve {
         let mut out = Vec::with_capacity(total);
         match mode {
             Compression::Compressed => {
-                out.push(if fq_sign(self, &q.y) {
+                out.push(if fq_sign(tower, &q.y) {
                     TAG_COMPRESSED_ODD
                 } else {
                     TAG_COMPRESSED_EVEN
@@ -311,12 +314,12 @@ impl Curve {
                 let Some(root) = tower.fq_sqrt(&rhs) else {
                     return Err(DecodeError::NotOnCurve);
                 };
-                let y = if fq_sign(self, &root) == sign {
+                let y = if fq_sign(tower, &root) == sign {
                     root
                 } else {
                     tower.fq_neg(&root)
                 };
-                if fq_sign(self, &y) != sign {
+                if fq_sign(tower, &y) != sign {
                     return Err(DecodeError::NonCanonicalSign);
                 }
                 let q = Affine::new(x, y);

@@ -65,6 +65,11 @@ pub struct FpCtx {
     r2: Limbs,
     one_mont: Limbs,
     p_minus_2: BigUint,
+    /// `(p − 1)/2`, the Euler-criterion exponent of [`Fp::legendre`].
+    p_minus_1_half: BigUint,
+    /// `(p + 1)/4`, the square-root exponent of [`Fp::sqrt`], when
+    /// `p ≡ 3 (mod 4)`.
+    p_plus_1_quarter: Option<BigUint>,
     modulus_bits: usize,
     /// `p²` over `2·width` limbs — the offset added to double-width
     /// accumulators before a subtraction so lazy kernels never go negative.
@@ -266,6 +271,8 @@ impl FpCtx {
             Limbs::from_slice(&BigUint::one().shl(64 * width).rem(&p).to_fixed_limbs(width));
         // p >= 3 was asserted above, so the subtraction cannot underflow.
         let p_minus_2 = p.checked_sub(&BigUint::from_u64(2)).unwrap_or_default();
+        let p_minus_1_half = p.shr(1);
+        let p_plus_1_quarter = (p.low_u64() & 3 == 3).then(|| (&p + &BigUint::one()).shr(2));
         let modulus_bits = p.bits();
         let mut p2 = [0u64; 2 * MAX_LIMBS];
         p2[..2 * width].copy_from_slice(&(&p * &p).to_fixed_limbs(2 * width));
@@ -278,6 +285,8 @@ impl FpCtx {
             r2,
             one_mont,
             p_minus_2,
+            p_minus_1_half,
+            p_plus_1_quarter,
             modulus_bits,
             p2,
             headroom,
@@ -1122,26 +1131,29 @@ impl Fp {
         }
     }
 
-    /// Square root via Tonelli–Shanks, `None` for quadratic non-residues.
+    /// Square root, `None` for quadratic non-residues.
     ///
-    /// Uses the `a^((p+1)/4)` fast path when `p ≡ 3 (mod 4)`.
+    /// When `p ≡ 3 (mod 4)` (every Table-2 prime) this is one
+    /// exponentiation: `r = a^((p+1)/4)` is returned iff `r² = a`.
+    /// Other primes fall back to Tonelli–Shanks.
     pub fn sqrt(&self) -> Option<Fp> {
+        if let Some(e) = &self.ctx.p_plus_1_quarter {
+            let r = self.pow(e);
+            return (r.square() == *self).then_some(r);
+        }
         if self.is_zero() {
             return Some(self.clone());
         }
         if self.legendre() != 1 {
             return None;
         }
-        let p = self.ctx.modulus();
-        if p.low_u64() & 3 == 3 {
-            let e = (p + &BigUint::one()).shr(2);
-            let r = self.pow(&e);
-            debug_assert_eq!(r.square(), *self);
-            return Some(r);
-        }
         // General Tonelli–Shanks. p >= 3 by context construction, so the
         // subtraction cannot underflow.
-        let p_minus_1 = p.checked_sub(&BigUint::one()).unwrap_or_default();
+        let p_minus_1 = self
+            .ctx
+            .modulus()
+            .checked_sub(&BigUint::one())
+            .unwrap_or_default();
         let s = p_minus_1.trailing_zeros();
         let q = p_minus_1.shr(s);
         // Deterministic non-residue search.
@@ -1181,15 +1193,7 @@ impl Fp {
         if self.is_zero() {
             return 0;
         }
-        // p >= 3 by context construction, so the subtraction cannot
-        // underflow.
-        let exp = self
-            .ctx
-            .modulus()
-            .checked_sub(&BigUint::one())
-            .unwrap_or_default()
-            .shr(1);
-        let r = self.pow(&exp);
+        let r = self.pow(&self.ctx.p_minus_1_half);
         if r.is_one() {
             1
         } else {
@@ -1459,6 +1463,11 @@ mod tests {
             let r = sq.sqrt().expect("square has root");
             assert!(r == a || r == -&a);
         }
+        let nr = (2..50)
+            .map(|k| c.from_u64(k))
+            .find(|x| x.legendre() == -1)
+            .unwrap();
+        assert!(nr.sqrt().is_none());
         // p = 1 mod 4 path (Tonelli–Shanks): 1000000007 ≡ 3 mod 4,
         // use 998244353 = 119 * 2^23 + 1 ≡ 1 mod 4.
         let c = FpCtx::new(BigUint::from_u64(998_244_353)).unwrap();

@@ -9,7 +9,7 @@
 //!   [`MAX_LIMBS`]), so every hot-path operation is allocation-free;
 //! - [`tower`] — the extension-field towers F_p → F_p^2 → F_p^(k/6) →
 //!   F_p^k used by optimal Ate pairings, including Frobenius maps,
-//!   cyclotomic squaring and generic Tonelli–Shanks square roots.
+//!   cyclotomic squaring and norm-method square roots.
 //!
 //! Everything is built from scratch (no external bignum); one code path
 //! serves every curve from BN254 to BLS24-509, with element widths fixed

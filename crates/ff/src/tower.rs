@@ -1034,56 +1034,50 @@ impl TowerCtx {
         acc
     }
 
-    /// Square root in F_q via generic Tonelli–Shanks, `None` for
-    /// non-residues. Used when deriving G2 generators.
+    /// Square root in F_q, `None` for non-squares. This is the square
+    /// root of every compressed G2 decode, so it runs on untrusted input:
+    /// the norm method, one quadratic layer at a time, costs a handful of
+    /// F_p exponentiations, and the root is returned only if it squares
+    /// back to `a`.
     pub fn fq_sqrt(&self, a: &Fq) -> Option<Fq> {
-        if self.fq_is_zero(a) {
-            return Some(a.clone());
+        let r = self.subfield_sqrt(a, self.qdeg)?;
+        (self.fq_sqr(&r) == *a).then_some(r)
+    }
+
+    /// Square root of `a` in the degree-`deg` subfield F_p^deg of F_q
+    /// (coefficients past `deg` zero) by the norm ("complex") method, one
+    /// quadratic layer `a0 + a1·t`, `t² = nr`, at a time (`t = u` over
+    /// F_p, `t = v` over F_p2). `a` is a square iff its norm
+    /// `a0² − nr·a1²` is one in the layer below; with `n` that root,
+    /// exactly one `c = a0 ± n` makes `2c` a square `y²`, and
+    /// `(c + a1·t)/y` is the root.
+    fn subfield_sqrt(&self, a: &Fq, deg: usize) -> Option<Fq> {
+        if deg == 1 {
+            return a.c[0].sqrt().map(|r| self.fq_from_fp(&r));
         }
-        let one = self.fq_one();
-        // q = p^(k/6) >= 3, so the subtraction cannot underflow.
-        let qm1 = self.q.checked_sub(&BigUint::one()).unwrap_or_default();
-        let half = qm1.shr(1);
-        if !self.fq_is_one(&self.fq_pow(a, &half)) {
-            return None;
-        }
-        let e = qm1.trailing_zeros();
-        let m = qm1.shr(e);
-        // Find a non-residue z deterministically.
-        let mut z = self.fq_sample(0xDEAD_BEEF);
-        let minus_one = self.fq_neg(&one);
-        let mut tries = 0u64;
-        while self.fq_is_zero(&z) || self.fq_pow(&z, &half) != minus_one {
-            tries += 1;
-            z = self.fq_sample(0xDEAD_BEEF ^ tries.wrapping_mul(0x5851_F42D_4C95_7F2D));
-            assert!(tries < 512, "failed to find a quadratic non-residue in Fq");
-        }
-        let mut c = self.fq_pow(&z, &m);
-        let mut t = self.fq_pow(a, &m);
-        let mut r = self.fq_pow(a, &(&m + &BigUint::one()).shr(1));
-        let mut e_cur = e;
-        while !self.fq_is_one(&t) {
-            // Find least i with t^(2^i) = 1.
-            let mut i = 0usize;
-            let mut t2 = t.clone();
-            while !self.fq_is_one(&t2) {
-                t2 = self.fq_sqr(&t2);
-                i += 1;
-                if i == e_cur {
-                    return None; // defensive; cannot happen for residues
-                }
+        let h = deg / 2;
+        let (mut a0, mut a1, mut t) = (self.fq_zero(), self.fq_zero(), self.fq_zero());
+        a0.c[..h].clone_from_slice(&a.c[..h]);
+        a1.c[..h].clone_from_slice(&a.c[h..deg]);
+        t.c[h] = self.fp.one();
+        if self.fq_is_zero(&a1) {
+            // a0 is a square in the layer below, or else a0/nr is and
+            // the root is a multiple of t.
+            if let Some(r) = self.subfield_sqrt(&a0, h) {
+                return Some(r);
             }
-            let mut b = c.clone();
-            for _ in 0..e_cur - i - 1 {
-                b = self.fq_sqr(&b);
-            }
-            r = self.fq_mul(&r, &b);
-            c = self.fq_sqr(&b);
-            t = self.fq_mul(&t, &c);
-            e_cur = i;
+            let s = self.subfield_sqrt(&self.fq_mul(&a0, &self.fq_inv(&self.fq_sqr(&t))), h)?;
+            return Some(self.fq_mul(&s, &t));
         }
-        debug_assert_eq!(self.fq_sqr(&r), *a);
-        Some(r)
+        let nr_a1_sq = self.fq_mul(&self.fq_sqr(&t), &self.fq_sqr(&a1));
+        let n = self.subfield_sqrt(&self.fq_sub(&self.fq_sqr(&a0), &nr_a1_sq), h)?;
+        // (a0 + n)(a0 − n) = nr·a1² is a non-square, so c ≠ 0 and y ≠ 0.
+        let (c, y) = [self.fq_add(&a0, &n), self.fq_sub(&a0, &n)]
+            .into_iter()
+            .find_map(|c| self.subfield_sqrt(&self.fq_double(&c), h).map(|y| (c, y)))?;
+        let y_inv = self.fq_inv(&y);
+        let x1_t = self.fq_mul(&self.fq_mul(&a1, &y_inv), &t);
+        Some(self.fq_add(&self.fq_mul(&c, &y_inv), &x1_t))
     }
 
     // ------------------------------------------------------------------

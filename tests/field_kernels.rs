@@ -4,12 +4,14 @@
 //! arbitrary-precision `BigUint` reference arithmetic, across the base
 //! primes of all seven Table-2 curves — including the 10-limb
 //! (`MAX_LIMBS`) BN638/BLS12-638 edge where the inline buffers are full.
+//! The F_p and F_q square roots are checked against Euler's criterion on
+//! the same seven curves.
 //!
 //! Cases come from the same deterministic splitmix64 stream used by
 //! `tests/properties.rs` (offline build, no proptest).
 
-use finesse_curves::all_specs;
-use finesse_ff::{BigUint, Fp, FpCtx, MAX_LIMBS};
+use finesse_curves::{all_specs, Curve};
+use finesse_ff::{BigUint, Fp, FpCtx, Fq, TowerCtx, MAX_LIMBS};
 use std::sync::Arc;
 
 /// Deterministic splitmix64 stream; every test derives its cases from this.
@@ -183,4 +185,111 @@ fn modpow_handles_moduli_wider_than_max_limbs() {
         expect = (&expect * &base).rem(&p4);
     }
     assert_eq!(base.modpow(&e, &p4), expect);
+}
+
+/// Euler's criterion in F_p: `a` is a square iff `a = 0` or
+/// `a^((p−1)/2) = 1`.
+fn fp_is_square(a: &Fp) -> bool {
+    a.is_zero() || a.pow(&a.ctx().modulus().shr(1)).is_one()
+}
+
+/// Euler's criterion in the subfield of F_q of order `order`:
+/// `a^((order−1)/2) = 1` for non-zero squares.
+fn fq_is_square_in(t: &TowerCtx, a: &Fq, order: &BigUint) -> bool {
+    t.fq_is_zero(a) || t.fq_is_one(&t.fq_pow(a, &order.shr(1)))
+}
+
+/// `Fp::sqrt` agrees with Euler's criterion, and every root squares back.
+fn check_fp_sqrt(name: &str, a: &Fp) -> Option<Fp> {
+    let root = a.sqrt();
+    assert_eq!(root.is_some(), fp_is_square(a), "{name}: Fp::sqrt vs Euler");
+    if let Some(r) = &root {
+        assert_eq!(r.square(), *a, "{name}: Fp root does not square back");
+    }
+    root
+}
+
+/// Same for `TowerCtx::fq_sqrt`.
+fn check_fq_sqrt(name: &str, t: &TowerCtx, a: &Fq) -> Option<Fq> {
+    let root = t.fq_sqrt(a);
+    let square = fq_is_square_in(t, a, t.q_order());
+    assert_eq!(root.is_some(), square, "{name}: fq_sqrt vs Euler");
+    if let Some(r) = &root {
+        assert_eq!(t.fq_sqr(r), *a, "{name}: Fq root does not square back");
+    }
+    root
+}
+
+#[test]
+fn fp_sqrt_matches_euler_criterion() {
+    let mut rng = Rng::new(0x5_0127);
+    for spec in all_specs() {
+        let c = Curve::by_name(spec.name);
+        let (fp, beta) = (c.fp(), c.tower().beta());
+        for _ in 0..6 {
+            let s = fp.sample(rng.next_u64());
+            check_fp_sqrt(spec.name, &s);
+            assert!(check_fp_sqrt(spec.name, &s.square()).is_some());
+            // β is a non-residue, so β·s² is one too.
+            assert!(check_fp_sqrt(spec.name, &(&s.square() * beta)).is_none());
+        }
+        for edge in [fp.zero(), fp.one(), -&fp.one(), beta.clone()] {
+            check_fp_sqrt(spec.name, &edge);
+        }
+    }
+}
+
+#[test]
+fn fq_sqrt_matches_euler_criterion() {
+    let mut rng = Rng::new(0xF0_5127);
+    for spec in all_specs() {
+        let (name, c) = (spec.name, Curve::by_name(spec.name));
+        let (fp, t) = (c.fp(), c.tower());
+        for _ in 0..3 {
+            let s = t.fq_sample(rng.next_u64());
+            check_fq_sqrt(name, t, &s);
+            let sq = t.fq_sqr(&s);
+            assert!(check_fq_sqrt(name, t, &sq).is_some(), "{name}: square");
+            // The sextic non-residue ξ is a non-square in F_q.
+            let non_sq = t.fq_mul(&sq, t.xi());
+            assert!(check_fq_sqrt(name, t, &non_sq).is_none(), "{name}: ξ·s²");
+        }
+        let one = t.fq_one();
+        for edge in [
+            t.fq_zero(),
+            one.clone(),
+            t.fq_neg(&one),
+            t.fq_from_fp(t.beta()),
+        ] {
+            check_fq_sqrt(name, t, &edge);
+        }
+        // An F_p non-residue a0 embedded with a1 = 0: its root is r·u.
+        let a0 = (2..)
+            .map(|k| fp.from_u64(k))
+            .find(|x| !fp_is_square(x))
+            .unwrap();
+        let r = check_fq_sqrt(name, t, &t.fq_from_fp(&a0)).expect("F_p ⊂ F_q squares");
+        assert!(
+            r.coeffs()[0].is_zero(),
+            "{name}: expected the (0, r·u) root"
+        );
+        if t.qdeg() == 4 {
+            // An F_p2 non-square a0 with a1 = 0 over F_p4: the root is r·v.
+            let p_sq = fp.modulus().pow(2);
+            let a = (0..)
+                .map(|seed| {
+                    let mut c = t.fq_sample(seed).coeffs().to_vec();
+                    c[2] = fp.zero();
+                    c[3] = fp.zero();
+                    Fq::from_coeffs(c).unwrap()
+                })
+                .find(|x| !fq_is_square_in(t, x, &p_sq))
+                .unwrap();
+            let r = check_fq_sqrt(name, t, &a).expect("F_p2 ⊂ F_p4 squares");
+            assert!(
+                r.coeffs()[..2].iter().all(Fp::is_zero),
+                "{name}: expected the (0, r·v) root"
+            );
+        }
+    }
 }

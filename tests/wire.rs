@@ -7,10 +7,10 @@
 //! prime-order group, and every rejected input gets a typed
 //! [`DecodeError`] naming what was wrong. This suite drives that contract
 //! with a deterministic splitmix64 fuzzer — round-trips, bit-flips,
-//! truncations, non-canonical field limbs, off-curve x coordinates, and
-//! on-curve points outside the r-torsion — plus a differential check of
-//! the endomorphism-accelerated subgroup tests against the naive `[r]P`
-//! oracle.
+//! truncations, non-canonical field limbs, off-curve x coordinates (G1
+//! and compressed G2), and on-curve points outside the r-torsion — plus
+//! a differential check of the endomorphism-accelerated subgroup tests
+//! against the naive `[r]P` oracle.
 
 use finesse_curves::{all_specs, Affine, Compression, Curve, DecodeError};
 use finesse_ff::{BigUint, Fp, Fq};
@@ -315,6 +315,41 @@ fn off_curve_points_are_rejected() {
             Err(DecodeError::NotOnCurve) | Err(DecodeError::NonCanonicalField) => {}
             other => panic!("{}: corrupted y gave {other:?}", spec.name),
         }
+        // Compressed G2: random x with x³ + b′ a non-square, decided by
+        // Euler's criterion rather than by the square root under test.
+        let tower = c.tower();
+        let half_q = tower.q_order().shr(1);
+        let x = loop {
+            let x = tower.fq_sample(rng.next());
+            let rhs = tower.fq_add(&tower.fq_mul(&tower.fq_sqr(&x), &x), c.b_twist());
+            if !tower.fq_is_one(&tower.fq_pow(&rhs, &half_q)) {
+                break x;
+            }
+        };
+        let mut enc = c.encode_g2(&random_g2(&c, &mut rng), Compression::Compressed);
+        enc[1..].copy_from_slice(&tower.fq_to_bytes_be(&x));
+        for tag in [0x02u8, 0x03] {
+            enc[0] = tag;
+            assert_eq!(
+                c.decode_g2(&enc),
+                Err(DecodeError::NotOnCurve),
+                "{}: non-square x³ + b′ accepted",
+                spec.name
+            );
+        }
+    }
+}
+
+#[test]
+fn generators_carry_the_even_compressed_tag() {
+    // Generators are canonicalised to the lexicographically smaller y,
+    // independent of which root the square-root algorithm returns.
+    for spec in all_specs() {
+        let c = Curve::by_name(spec.name);
+        let g1 = c.encode_g1(c.g1_generator(), Compression::Compressed);
+        let g2 = c.encode_g2(c.g2_generator(), Compression::Compressed);
+        assert_eq!(g1[0], 0x02, "{}: G1 generator tag", spec.name);
+        assert_eq!(g2[0], 0x02, "{}: G2 generator tag", spec.name);
     }
 }
 
