@@ -255,7 +255,7 @@ const PR4_MSM64_NS: [(&str, f64); 7] = [
 
 /// The metrics [`measure_metric`] knows how to re-run; every manifest
 /// gate names one of these.
-const METRICS: [&str; 11] = [
+const METRICS: [&str; 12] = [
     "fq_mul",
     "g1_mul",
     "g1_mul_fixed",
@@ -267,6 +267,7 @@ const METRICS: [&str; 11] = [
     "kzg_open_batch_8",
     "kzg_verify_batch_8",
     "decode_g2",
+    "evaluate_point",
 ];
 
 /// One row of the regression-gate manifest.
@@ -282,7 +283,7 @@ struct Gate {
 /// used as the fallback when the committed file is missing or predates
 /// the manifest. `--bench-regress` itself always prefers the *committed*
 /// `results/BENCH_fieldops.json`, so re-baselining is a one-file edit.
-const DEFAULT_GATES: [(&str, &str, f64, f64); 14] = [
+const DEFAULT_GATES: [(&str, &str, f64, f64); 15] = [
     // The historical PR 2 floor contract on the deepest tower.
     ("fq_mul", "BLS24-509", 2800.5, 10.0),
     // Variable-base GLV/JSF path vs the committed PR 4 median.
@@ -311,6 +312,9 @@ const DEFAULT_GATES: [(&str, &str, f64, f64); 14] = [
     // the GLS subgroup check.
     ("decode_g2", "BN254N", 618_178.0, 30.0),
     ("decode_g2", "BLS12-381", 463_241.0, 30.0),
+    // One co-design loop design point: compile, decode, simulate and
+    // price BN254N "All karat. @ L38/S8 single-issue" (no write-back FIFO).
+    ("evaluate_point", "BN254N", 72_780_876.0, 30.0),
 ];
 
 fn default_gates() -> Vec<Gate> {
@@ -557,6 +561,17 @@ fn measure_metric(metric: &str, curve: &Arc<Curve>) -> f64 {
             let bytes = curve.encode_g2(&q, finesse_curves::Compression::Compressed);
             bench_ns(|| {
                 black_box(curve.decode_g2(black_box(&bytes)).expect("honest encoding"));
+            })
+        }
+        "evaluate_point" => {
+            // The single-issue Figure 10 point without a write-back FIFO,
+            // so the scheduler and simulator pay for write-back ports.
+            let point = figure10_points(curve)
+                .into_iter()
+                .find(|p| p.label == "All karat. @ L38/S8 single-issue")
+                .expect("Figure 10 has the paper-latency single-issue point");
+            bench_ns(|| {
+                black_box(evaluate_point(curve, black_box(&point), 1).expect("point compiles"));
             })
         }
         other => unreachable!("unvalidated metric `{other}`"),

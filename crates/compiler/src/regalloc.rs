@@ -7,10 +7,9 @@
 //! make the reuse hazard-free — see the scheduling module). Constants and
 //! program outputs are pinned.
 
-use crate::schedule::Schedule;
+use crate::schedule::{csr, Schedule};
 use finesse_ir::{FpOp, FpProgram};
 use finesse_isa::Reg;
-use std::collections::HashMap;
 
 /// Allocation result.
 #[derive(Clone, Debug)]
@@ -80,10 +79,9 @@ pub fn allocate(
         last_use[o as usize] = end;
     }
     // Constants are pinned for the whole program.
-    for (i, op) in prog.insts.iter().enumerate() {
-        if matches!(op, FpOp::Const(_)) {
-            last_use[i] = end;
-        }
+    let consts = (0..n).filter(|&i| matches!(prog.insts[i], FpOp::Const(_)));
+    for i in consts.clone() {
+        last_use[i] = end;
     }
 
     let n_banks = sched.bank_of.iter().copied().max().unwrap_or(0) as usize + 1;
@@ -93,39 +91,30 @@ pub fn allocate(
     let mut peak: Vec<u32> = vec![0; n_banks];
     let mut reg_of = vec![Reg::default(); n];
 
-    // Events: allocations in schedule order (meta first), frees as we
-    // pass their last use.
-    let mut order: Vec<u32> = Vec::with_capacity(n);
-    for (i, op) in prog.insts.iter().enumerate() {
-        if matches!(op, FpOp::Const(_)) {
-            order.push(i as u32);
-        }
-    }
-    for g in &sched.groups {
-        order.extend_from_slice(g);
-    }
+    // Events: allocations in schedule order (constants first), frees as
+    // we pass their last use.
+    let order = consts.chain(sched.groups.iter().flatten().map(|&id| id as usize));
 
-    // Frees keyed by position.
-    let mut frees_at: HashMap<usize, Vec<u32>> = HashMap::new();
-    for (i, &lu) in last_use.iter().enumerate() {
-        if lu < end {
-            frees_at.entry(lu).or_default().push(i as u32);
-        }
-    }
+    // Frees by position, as one CSR table: the values whose last use is
+    // position `q` are `frees[free_start[q]..free_start[q + 1]]`, in
+    // ascending id order.
+    let (free_start, frees) = csr(
+        end,
+        (0..n)
+            .filter(|&i| last_use[i] < end)
+            .map(|i| (last_use[i], i as u32)),
+    );
 
     let mut cur_pos = 0usize;
-    for &id in &order {
-        let i = id as usize;
+    for i in order {
         let p = pos[i];
         // Release registers whose last use has passed.
         while cur_pos < p {
             cur_pos += 1;
-            if let Some(done) = frees_at.remove(&cur_pos) {
-                for v in done {
-                    let b = sched.bank_of[v as usize] as usize;
-                    free[b].push(reg_of[v as usize].index);
-                    live_now[b] -= 1;
-                }
+            for &v in &frees[free_start[cur_pos]..free_start[cur_pos + 1]] {
+                let b = sched.bank_of[v as usize] as usize;
+                free[b].push(reg_of[v as usize].index);
+                live_now[b] -= 1;
             }
         }
         let b = sched.bank_of[i] as usize;

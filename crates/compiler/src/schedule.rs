@@ -13,10 +13,13 @@
 //!   tunable β), so Long and Short write-backs interleave without port
 //!   conflicts (Figure 7); within a class, latency-weighted critical-path
 //!   height breaks ties;
-//! * a dynamic program over port states packs the largest valid set of
-//!   candidates into the slot, respecting per-bank read ports, unit
-//!   counts, issue width and — without a write-back FIFO — single
-//!   write-back ports at each future completion cycle.
+//! * candidates are packed into the slot first-fit in that order: each
+//!   one joins if it still fits the per-bank read ports, unit counts,
+//!   issue width and — without a write-back FIFO — its bank's single
+//!   write-back port at its completion cycle. This greedy pass stands in
+//!   for Algorithm 2's dynamic program (`solveMaxValidInstrPack`); it
+//!   keeps the first valid set in affinity order and does not search for
+//!   the largest one.
 //!
 //! The output is an *ordered stream* of (possibly wide) instruction
 //! groups; hardware issues them in order, so the cycle-accurate simulator
@@ -25,7 +28,7 @@
 use finesse_hw::HwModel;
 use finesse_ir::{FpOp, FpProgram, OpClass};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::BinaryHeap;
 
 /// Scheduling strategy.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -33,7 +36,8 @@ pub enum SchedStrategy {
     /// Emit in program order, one op per group (the Table 7 "Init."
     /// baseline).
     ProgramOrder,
-    /// Affinity-driven list scheduling with DP packing (Algorithm 2).
+    /// Affinity-driven list scheduling with first-fit packing
+    /// (Algorithm 2).
     AffinityList,
 }
 
@@ -152,8 +156,41 @@ fn schedule_program_order(prog: &FpProgram, hw: &HwModel, bank_of: Vec<u8>) -> S
     }
 }
 
-/// Candidate pool bound per cycle for the packing DP.
+/// Bound on the Short candidates drawn per cycle.
 const CAND_LIMIT: usize = 24;
+
+/// Ready-set index of the Long-unit ops (Long, ICV and inversion) and of
+/// the Short ops.
+const LONG: usize = 0;
+const SHORT: usize = 1;
+
+/// A ready op keyed for the draw: greater height first, then older id.
+type Ready = (u64, Reverse<u32>);
+
+/// The machine state candidates are packed against.
+struct Resources {
+    /// Reads per bank in the cycle being packed.
+    reads: Vec<u16>,
+    /// Without a write-back FIFO: one bit per `(completion cycle, bank)`
+    /// whose write port is taken, at `cycle · banks + bank`.
+    wb_taken: Vec<u64>,
+    /// The iterative inversion unit is not pipelined.
+    inv_busy_until: u64,
+}
+
+impl Resources {
+    /// Takes `bank`'s write-back port at cycle `done`; false if it was
+    /// already taken.
+    fn claim_wb(&mut self, bank: u8, done: u64) -> bool {
+        let b = done as usize * self.reads.len() + usize::from(bank);
+        if self.wb_taken.len() <= b / 64 {
+            self.wb_taken.resize(b / 64 + 1, 0);
+        }
+        let free = (self.wb_taken[b / 64] >> (b % 64)) & 1 == 0;
+        self.wb_taken[b / 64] |= 1 << (b % 64);
+        free
+    }
+}
 
 fn schedule_affinity(prog: &FpProgram, hw: &HwModel, bank_of: Vec<u8>, beta: f64) -> Schedule {
     let n = prog.insts.len();
@@ -170,52 +207,37 @@ fn schedule_affinity(prog: &FpProgram, hw: &HwModel, bank_of: Vec<u8>, beta: f64
     let threshold = ((long_frac + beta) * period as f64).ceil() as u64;
     let long_affine = |t: u64| -> bool { (t % period) < threshold };
 
-    // Dependence bookkeeping.
+    // Dependence bookkeeping: the users of `o` are
+    // `users[user_start[o]..user_start[o + 1]]`. Constants are always
+    // ready and impose no ordering.
+    let schedulable = || (0..n).filter(|&i| is_schedulable(&prog.insts[i]));
+    let deps = schedulable().flat_map(move |i| {
+        let operands = prog.insts[i].operands().into_iter();
+        operands
+            .filter(move |&o| is_schedulable(&prog.insts[o as usize]))
+            .map(move |o| (o as usize, i as u32))
+    });
+    let (user_start, users) = csr(n, deps.clone());
     let mut indegree = vec![0u32; n];
-    let mut users: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (i, op) in prog.insts.iter().enumerate() {
-        if !is_schedulable(op) {
-            continue;
-        }
-        for o in op.operands() {
-            // Constants are always ready and impose no ordering.
-            if is_schedulable(&prog.insts[o as usize]) {
-                indegree[i] += 1;
-                users[o as usize].push(i as u32);
-            }
-        }
+    for (_, i) in deps {
+        indegree[i as usize] += 1;
     }
 
     let mut completion = vec![0u64; n];
     // pending: ops whose deps issued, keyed by earliest issue cycle.
-    let mut pending: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
-    // ready heaps per class, priority = (height, older id first).
-    let mut ready_long: BinaryHeap<(u64, Reverse<u32>)> = BinaryHeap::new();
-    let mut ready_short: BinaryHeap<(u64, Reverse<u32>)> = BinaryHeap::new();
-    let mut remaining = 0usize;
+    let mut pending: BinaryHeap<Reverse<(u64, u32)>> = schedulable()
+        .filter(|&i| indegree[i] == 0)
+        .map(|i| Reverse((0, i as u32)))
+        .collect();
+    // Ready ops per class, indexed by `LONG`/`SHORT`.
+    let mut ready: [BinaryHeap<Ready>; 2] = Default::default();
+    let mut remaining = schedulable().count();
 
-    let class_of = |i: usize| -> OpClass {
-        match &prog.insts[i] {
-            FpOp::Input(_) => OpClass::Long, // ICV
-            op => op.class(),
-        }
+    let mut res = Resources {
+        reads: vec![0; usize::from(hw.n_banks.max(1))],
+        wb_taken: Vec::new(),
+        inv_busy_until: 0,
     };
-
-    for (i, op) in prog.insts.iter().enumerate() {
-        if !is_schedulable(op) {
-            continue;
-        }
-        remaining += 1;
-        if indegree[i] == 0 {
-            pending.push(Reverse((0, i as u32)));
-        }
-    }
-
-    // Write-back port reservations (bank → cycles) when no FIFO.
-    let mut wb_taken: HashSet<(u8, u64)> = HashSet::new();
-    // The iterative inversion unit is not pipelined.
-    let mut inv_busy_until = 0u64;
-
     let mut groups: Vec<Vec<u32>> = Vec::new();
     let mut t = 0u64;
     let mut makespan = 0u64;
@@ -227,65 +249,20 @@ fn schedule_affinity(prog: &FpProgram, hw: &HwModel, bank_of: Vec<u8>, beta: f64
                 break;
             }
             pending.pop();
-            match class_of(id as usize) {
-                OpClass::Long | OpClass::Inverse | OpClass::Meta => {
-                    ready_long.push((h[id as usize], Reverse(id)))
-                }
-                OpClass::Short => ready_short.push((h[id as usize], Reverse(id))),
-            }
-        }
-
-        // Draw candidates in affinity order. The draw is class-aware:
-        // only one mmul can issue per cycle, so a handful of Long
-        // candidates suffices, while the Short pool scales with the
-        // number of linear units (otherwise a Long-heavy ready set would
-        // starve the linear slots).
-        let prefer_long = long_affine(t);
-        let mut cands: Vec<u32> = Vec::new();
-        {
-            let long_quota = 4usize;
-            let short_quota = (hw.n_linear_units as usize * 3).min(CAND_LIMIT);
-            let mut longs = Vec::new();
-            while longs.len() < long_quota {
-                match ready_long.pop() {
-                    Some(e) => longs.push(e),
-                    None => break,
-                }
-            }
-            let mut shorts = Vec::new();
-            while shorts.len() < short_quota {
-                match ready_short.pop() {
-                    Some(e) => shorts.push(e),
-                    None => break,
-                }
-            }
-            let (first, second): (&Vec<_>, &Vec<_>) = if prefer_long {
-                (&longs, &shorts)
-            } else {
-                (&shorts, &longs)
+            let k = match class_of(&prog.insts[id as usize]) {
+                OpClass::Short => SHORT,
+                _ => LONG,
             };
-            cands.extend(first.iter().map(|&(_, Reverse(id))| id));
-            cands.extend(second.iter().map(|&(_, Reverse(id))| id));
-            // Return the drawn entries; chosen ones are lazily removed
-            // after packing.
-            for &(hh, Reverse(id)) in longs.iter().chain(shorts.iter()) {
-                match class_of(id as usize) {
-                    OpClass::Short => ready_short.push((hh, Reverse(id))),
-                    _ => ready_long.push((hh, Reverse(id))),
-                }
-            }
+            ready[k].push((h[id as usize], Reverse(id)));
         }
 
-        // DP packing over port states (Algorithm 2's
-        // solveMaxValidInstrPack), processing candidates in affinity
-        // order.
-        let chosen = pack_group(prog, hw, &bank_of, &cands, t, &wb_taken, inv_busy_until);
+        let mut group = pack_group(prog, hw, &bank_of, &mut ready, long_affine(t), t, &mut res);
 
-        if chosen.is_empty() {
+        if group.is_empty() {
             // Bubble.
             t += 1;
             // Fast-forward across dead time when nothing is in flight.
-            if ready_long.is_empty() && ready_short.is_empty() {
+            if ready.iter().all(BinaryHeap::is_empty) {
                 if let Some(&Reverse((rt, _))) = pending.peek() {
                     t = t.max(rt);
                 }
@@ -294,27 +271,14 @@ fn schedule_affinity(prog: &FpProgram, hw: &HwModel, bank_of: Vec<u8>, beta: f64
         }
 
         // Commit the group.
-        let mut group = Vec::with_capacity(chosen.len());
-        let mut chosen_set: HashSet<u32> = HashSet::new();
-        for &id in &chosen {
-            chosen_set.insert(id);
-        }
-        // Remove chosen ids from the heaps (lazy deletion).
-        retain_heap(&mut ready_long, &chosen_set);
-        retain_heap(&mut ready_short, &chosen_set);
-
-        for &id in &chosen {
+        for &id in &group {
             let i = id as usize;
-            let lat = op_latency(&prog.insts[i], hw) as u64;
-            completion[i] = t + lat;
+            completion[i] = t + op_latency(&prog.insts[i], hw) as u64;
             makespan = makespan.max(completion[i]);
-            if !hw.wb_fifo {
-                wb_taken.insert((bank_of[i], t + lat));
+            if class_of(&prog.insts[i]) == OpClass::Inverse {
+                res.inv_busy_until = completion[i];
             }
-            if class_of(i) == OpClass::Inverse {
-                inv_busy_until = t + lat;
-            }
-            for &u in &users[i] {
+            for &u in &users[user_start[i]..user_start[i + 1]] {
                 indegree[u as usize] -= 1;
                 if indegree[u as usize] == 0 {
                     let rt = prog.insts[u as usize]
@@ -326,9 +290,10 @@ fn schedule_affinity(prog: &FpProgram, hw: &HwModel, bank_of: Vec<u8>, beta: f64
                     pending.push(Reverse((rt, u)));
                 }
             }
-            group.push(id);
         }
-        remaining -= chosen.len();
+        remaining -= group.len();
+        // The groups outlive the pass: keep each at its exact size.
+        group.shrink_to_fit();
         groups.push(group);
         t += 1;
     }
@@ -340,115 +305,123 @@ fn schedule_affinity(prog: &FpProgram, hw: &HwModel, bank_of: Vec<u8>, beta: f64
     }
 }
 
-// Lazy-deletion helper: drop entries whose ids were chosen this cycle.
-fn retain_heap(heap: &mut BinaryHeap<(u64, Reverse<u32>)>, chosen: &HashSet<u32>) {
-    if chosen.is_empty() {
-        return;
+/// Groups `(key, value)` pairs by key into one CSR table `(start, values)`:
+/// the values of key `k` are `values[start[k]..start[k + 1]]`, in input
+/// order.
+pub(crate) fn csr(
+    keys: usize,
+    pairs: impl Iterator<Item = (usize, u32)> + Clone,
+) -> (Vec<usize>, Vec<u32>) {
+    let mut start = vec![0usize; keys + 1];
+    for (k, _) in pairs.clone() {
+        start[k + 1] += 1;
     }
-    let items: Vec<_> = std::mem::take(heap).into_vec();
-    for e in items {
-        if !chosen.contains(&e.1 .0) {
-            heap.push(e);
-        }
+    for k in 1..=keys {
+        start[k] += start[k - 1];
+    }
+    let mut values = vec![0; start[keys]];
+    let mut fill = start.clone();
+    for (k, v) in pairs {
+        values[fill[k]] = v;
+        fill[k] += 1;
+    }
+    (start, values)
+}
+
+/// Issue class for packing: ICV conversions run through the mmul.
+fn class_of(op: &FpOp) -> OpClass {
+    match op {
+        FpOp::Input(_) => OpClass::Long,
+        op => op.class(),
     }
 }
 
-/// Packs the largest valid subset of `cands` (in the given order) into
-/// one issue group at cycle `t`.
+/// Packs one issue group at cycle `t`, first-fit in affinity order (see
+/// the module docs: no search for a larger valid set).
+///
+/// Candidates are drawn from the preferred class's ready set, then from
+/// the other. The draw is class-aware: only one mmul can issue per cycle,
+/// so a handful of Long candidates suffices, while the Short pool scales
+/// with the number of linear units (otherwise a Long-heavy ready set would
+/// starve the linear slots). The draw stops once the group is as wide as
+/// the issue width. Accepted ops take their read and write-back ports in
+/// `res`; drawn ops that did not fit return to their ready set.
 fn pack_group(
     prog: &FpProgram,
     hw: &HwModel,
     bank_of: &[u8],
-    cands: &[u32],
+    ready: &mut [BinaryHeap<Ready>; 2],
+    prefer_long: bool,
     t: u64,
-    wb_taken: &HashSet<(u8, u64)>,
-    inv_busy_until: u64,
+    res: &mut Resources,
 ) -> Vec<u32> {
-    #[derive(Clone, Default)]
-    struct State {
-        count: usize,
-        picks: Vec<u32>,
-        reads: HashMap<u8, u8>,
-        wb: HashSet<(u8, u64)>,
-        longs: u8,
-        shorts: u8,
-        invs: u8,
-    }
-    let mut best = State::default();
-    let mut cur = State::default();
-    // Greedy-with-backtracking over the affinity order is equivalent to
-    // the DP for these small candidate windows: we take candidates
-    // first-fit, which matches processing states in priority order.
-    for &id in cands {
-        let i = id as usize;
-        let op = &prog.insts[i];
-        let class = match op {
-            FpOp::Input(_) => OpClass::Long,
-            o => o.class(),
-        };
-        if cur.count >= hw.issue_width as usize {
-            break;
-        }
-        // Unit limits.
-        match class {
-            OpClass::Long | OpClass::Meta => {
-                if cur.longs >= hw.n_mul_units {
-                    continue;
-                }
+    let quota = [4, (hw.n_linear_units as usize * 3).min(CAND_LIMIT)];
+    let draw = if prefer_long {
+        [LONG, SHORT]
+    } else {
+        [SHORT, LONG]
+    };
+    let mut group = Vec::with_capacity(hw.issue_width as usize);
+    let mut rejected = Vec::new();
+    let (mut longs, mut shorts, mut invs) = (0u8, 0u8, 0u8);
+    res.reads.fill(0);
+    'draw: for k in draw {
+        for _ in 0..quota[k] {
+            if group.len() >= hw.issue_width as usize {
+                break 'draw;
             }
-            OpClass::Short => {
-                if cur.shorts >= hw.n_linear_units {
-                    continue;
-                }
-            }
-            OpClass::Inverse => {
-                if cur.invs >= 1 || t < inv_busy_until {
-                    continue;
-                }
-            }
-        }
-        // Read ports.
-        let mut reads = cur.reads.clone();
-        let mut ok = true;
-        for o in op.operands() {
-            let b = bank_of[o as usize];
-            let r = reads.entry(b).or_insert(0);
-            *r += 1;
-            if *r > hw.reads_per_bank {
-                ok = false;
+            // Once the linear units are full, every further Short draw
+            // would be turned away.
+            if k == SHORT && shorts == hw.n_linear_units {
                 break;
             }
-        }
-        if !ok {
-            continue;
-        }
-        // Write-back port at completion (HW1 only).
-        let lat = op_latency(op, hw) as u64;
-        let wb_slot = (bank_of[i], t + lat);
-        if !hw.wb_fifo && (wb_taken.contains(&wb_slot) || cur.wb.contains(&wb_slot)) {
-            continue;
-        }
-        // Accept.
-        cur.reads = reads;
-        cur.wb.insert(wb_slot);
-        match class {
-            OpClass::Long | OpClass::Meta => cur.longs += 1,
-            OpClass::Short => cur.shorts += 1,
-            OpClass::Inverse => cur.invs += 1,
-        }
-        cur.count += 1;
-        cur.picks.push(id);
-        if cur.count > best.count {
-            best = cur.clone();
+            let Some(entry) = ready[k].pop() else {
+                break;
+            };
+            let i = entry.1 .0 as usize;
+            let op = &prog.insts[i];
+            let class = class_of(op);
+            let unit_free = match class {
+                OpClass::Long | OpClass::Meta => longs < hw.n_mul_units,
+                OpClass::Short => shorts < hw.n_linear_units,
+                OpClass::Inverse => invs == 0 && t >= res.inv_busy_until,
+            };
+            // Every bank the op reads must stay within its read ports once
+            // the op's own reads of it are added.
+            let operands = op.operands();
+            let reads_fit = operands.iter().all(|&o| {
+                let b = bank_of[o as usize];
+                let mine = operands.iter().filter(|&&p| bank_of[p as usize] == b);
+                res.reads[usize::from(b)] as usize + mine.count() <= hw.reads_per_bank as usize
+            });
+            // The write-back port is claimed last, only once all else fits.
+            let done = t + op_latency(op, hw) as u64;
+            if !(unit_free && reads_fit && (hw.wb_fifo || res.claim_wb(bank_of[i], done))) {
+                rejected.push((k, entry));
+                continue;
+            }
+            for o in operands {
+                res.reads[usize::from(bank_of[o as usize])] += 1;
+            }
+            match class {
+                OpClass::Long | OpClass::Meta => longs += 1,
+                OpClass::Short => shorts += 1,
+                OpClass::Inverse => invs += 1,
+            }
+            group.push(i as u32);
         }
     }
-    best.picks
+    for (k, entry) in rejected {
+        ready[k].push(entry);
+    }
+    group
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use finesse_ir::FpProgram;
+    use std::collections::HashMap;
 
     /// A small synthetic program: a chain of muls with independent adds
     /// that can hide the Long latency.

@@ -54,14 +54,41 @@ pub enum OpClass {
     Meta,
 }
 
+/// The operand ids an [`FpOp`] reads: at most two, held inline, so walking
+/// a program's dependences allocates nothing. Derefs to `&[FpId]` and
+/// iterates by value.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Operands {
+    ids: [FpId; 2],
+    len: u8,
+}
+
+impl std::ops::Deref for Operands {
+    type Target = [FpId];
+
+    fn deref(&self) -> &[FpId] {
+        &self.ids[..usize::from(self.len)]
+    }
+}
+
+impl IntoIterator for Operands {
+    type Item = FpId;
+    type IntoIter = std::iter::Take<std::array::IntoIter<FpId, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.ids.into_iter().take(usize::from(self.len))
+    }
+}
+
 impl FpOp {
     /// Operand ids read by the op.
-    pub fn operands(&self) -> Vec<FpId> {
-        match *self {
-            FpOp::Input(_) | FpOp::Const(_) => Vec::new(),
-            FpOp::Add(a, b) | FpOp::Sub(a, b) | FpOp::Mul(a, b) => vec![a, b],
-            FpOp::Neg(a) | FpOp::Dbl(a) | FpOp::Tpl(a) | FpOp::Sqr(a) | FpOp::Inv(a) => vec![a],
-        }
+    pub fn operands(&self) -> Operands {
+        let (ids, len) = match *self {
+            FpOp::Input(_) | FpOp::Const(_) => ([0, 0], 0),
+            FpOp::Add(a, b) | FpOp::Sub(a, b) | FpOp::Mul(a, b) => ([a, b], 2),
+            FpOp::Neg(a) | FpOp::Dbl(a) | FpOp::Tpl(a) | FpOp::Sqr(a) | FpOp::Inv(a) => ([a, 0], 1),
+        };
+        Operands { ids, len }
     }
 
     /// Rewrites operand ids through a mapping (pass plumbing).

@@ -16,7 +16,7 @@ pub mod shape;
 pub mod variants;
 
 pub use cost::{CostModel, CostModelError, CurveCostRow, Kernel, KernelCosts, Provenance};
-pub use fpir::{FpId, FpOp, FpProgram, FpStats, OpClass};
+pub use fpir::{FpId, FpOp, FpProgram, FpStats, OpClass, Operands};
 pub use hir::{HirConst, HirError, HirInput, HirInst, HirOp, HirProgram, ValueId};
 pub use lower::lower;
 pub use shape::{LevelDesc, NonresForm, TowerShape};

@@ -10,8 +10,7 @@
 //! and it produces the issue-queue occupancy traces of Figure 9.
 
 use finesse_hw::HwModel;
-use finesse_isa::{Opcode, Reg, WideInst};
-use std::collections::{HashMap, HashSet};
+use finesse_isa::{MachineOp, Opcode, Reg, WideInst};
 
 /// What occupied an issue slot in a given cycle (Figure 9 waterfall).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -81,8 +80,11 @@ pub struct SimReport {
     pub instructions: u64,
     /// Issue stalls (cycles where the next word could not issue).
     pub stall_cycles: u64,
-    /// Write-back port conflicts encountered (absorbed when the FIFO is
-    /// present, stalling otherwise).
+    /// Write-back port conflicts that stalled issue: without a write-back
+    /// FIFO, one per stall cycle in which a slot's bank already had a
+    /// write-back at the slot's completion cycle. With the FIFO present,
+    /// write-back ports are not tracked and this is always 0; the
+    /// conflicts the ring buffers absorb are not counted.
     pub wb_conflicts: u64,
     /// Optional issue trace for a cycle window.
     pub trace: Option<IssueTrace>,
@@ -108,13 +110,45 @@ fn kind_of(op: Opcode) -> SlotKind {
     }
 }
 
+/// `table[bank][i]`, or 0 where the table has not grown that far.
+fn at(table: &[Vec<u64>], bank: u8, i: usize) -> u64 {
+    table
+        .get(usize::from(bank))
+        .and_then(|row| row.get(i))
+        .copied()
+        .unwrap_or(0)
+}
+
+/// `table[bank][i]`, growing the table with zeros on demand.
+fn at_mut(table: &mut Vec<Vec<u64>>, bank: u8, i: usize) -> &mut u64 {
+    let bank = usize::from(bank);
+    if table.len() <= bank {
+        table.resize_with(bank + 1, Vec::new);
+    }
+    let row = &mut table[bank];
+    if row.len() <= i {
+        row.resize(i + 1, 0);
+    }
+    &mut row[i]
+}
+
+/// The registers a slot reads.
+fn sources(slot: &MachineOp) -> impl Iterator<Item = Reg> {
+    [slot.src1, slot.src2].into_iter().take(slot.op.n_sources())
+}
+
 /// Simulates an instruction stream on a hardware model.
 ///
 /// `trace_window` records the issue pattern for cycles in
 /// `[window.0, window.1)`.
 pub fn simulate(insts: &[WideInst], hw: &HwModel, trace_window: Option<(u64, u64)>) -> SimReport {
-    let mut reg_ready: HashMap<Reg, u64> = HashMap::new();
-    let mut wb_taken: HashSet<(u8, u64)> = HashSet::new();
+    // Dense per-bank tables, grown on demand: the cycle each register's
+    // value is ready, and one bit per cycle whose write-back port is taken
+    // (recorded only without a FIFO).
+    let mut reg_ready: Vec<Vec<u64>> = Vec::new();
+    let mut wb_taken: Vec<Vec<u64>> = Vec::new();
+    // Reads per bank of the word being issued.
+    let mut reads = [0u16; 256];
     let mut inv_busy_until = 0u64;
     let mut t = 0u64;
     let mut last_completion = 0u64;
@@ -127,65 +161,39 @@ pub fn simulate(insts: &[WideInst], hw: &HwModel, trace_window: Option<(u64, u64
     });
 
     for wide in insts {
+        // Read ports depend only on the word, not on the cycle.
+        let srcs = || wide.slots.iter().flat_map(sources);
+        srcs().for_each(|s| reads[usize::from(s.bank)] += 1);
+        let ports_ok = srcs().all(|s| reads[usize::from(s.bank)] <= u16::from(hw.reads_per_bank));
+        srcs().for_each(|s| reads[usize::from(s.bank)] -= 1);
         // Find the earliest cycle >= t at which this word can issue.
         loop {
-            let mut ok = true;
+            let mut ok = ports_ok;
             let mut conflict_here = false;
-            let mut reads: HashMap<u8, u8> = HashMap::new();
-            for slot in &wide.slots {
-                if slot.op == Opcode::Nop {
-                    continue;
-                }
+            for slot in wide.slots.iter().filter(|s| s.op != Opcode::Nop) {
                 // Operand readiness.
-                let mut srcs: Vec<Reg> = Vec::new();
-                match slot.op {
-                    Opcode::Icv => {}
-                    Opcode::Cvt
-                    | Opcode::Neg
-                    | Opcode::Dbl
-                    | Opcode::Tpl
-                    | Opcode::Sqr
-                    | Opcode::Inv => srcs.push(slot.src1),
-                    Opcode::Add | Opcode::Sub | Opcode::Mul => {
-                        srcs.push(slot.src1);
-                        srcs.push(slot.src2);
-                    }
-                    Opcode::Nop => {}
-                }
-                for s in &srcs {
-                    if reg_ready.get(s).copied().unwrap_or(0) > t {
-                        ok = false;
-                    }
-                    let r = reads.entry(s.bank).or_insert(0);
-                    *r += 1;
-                    if *r > hw.reads_per_bank {
-                        ok = false;
-                    }
+                if sources(slot).any(|s| at(&reg_ready, s.bank, usize::from(s.index)) > t) {
+                    ok = false;
                 }
                 // Inversion unit is not pipelined.
                 if slot.op == Opcode::Inv && t < inv_busy_until {
                     ok = false;
                 }
                 // Write-back port at completion (CVT writes the I/O
-                // interface, not a bank).
+                // interface, not a bank). Ports are recorded only without
+                // a FIFO, where a taken one stalls the word.
                 if slot.op != Opcode::Cvt {
-                    let lat = hw.latency_of(slot.op) as u64;
-                    let key = (slot.dst.bank, t + lat);
-                    if wb_taken.contains(&key) {
+                    let c = (t + hw.latency_of(slot.op) as u64) as usize;
+                    if (at(&wb_taken, slot.dst.bank, c / 64) >> (c % 64)) & 1 == 1 {
                         conflict_here = true;
-                        if !hw.wb_fifo {
-                            ok = false;
-                        }
+                        ok = false;
                     }
                 }
             }
             if ok {
-                if conflict_here {
-                    wb_conflicts += 1;
-                }
                 break;
             }
-            if !hw.wb_fifo && conflict_here {
+            if conflict_here {
                 wb_conflicts += 1;
             }
             // Stall one cycle.
@@ -226,9 +234,10 @@ pub fn simulate(insts: &[WideInst], hw: &HwModel, trace_window: Option<(u64, u64
                 inv_busy_until = done;
             }
             if slot.op != Opcode::Cvt {
-                reg_ready.insert(slot.dst, done);
+                *at_mut(&mut reg_ready, slot.dst.bank, usize::from(slot.dst.index)) = done;
                 if !hw.wb_fifo {
-                    wb_taken.insert((slot.dst.bank, done));
+                    let c = done as usize;
+                    *at_mut(&mut wb_taken, slot.dst.bank, c / 64) |= 1 << (c % 64);
                 }
             }
         }
@@ -247,7 +256,6 @@ pub fn simulate(insts: &[WideInst], hw: &HwModel, trace_window: Option<(u64, u64
 #[cfg(test)]
 mod tests {
     use super::*;
-    use finesse_isa::MachineOp;
 
     fn op(o: Opcode, d: u16, s1: u16, s2: u16) -> MachineOp {
         MachineOp {

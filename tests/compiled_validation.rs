@@ -1,10 +1,12 @@
 //! The paper's validation matrix, end to end: for every Table 2 curve,
 //! compile the optimal-Ate program, execute the binary on the functional
 //! simulator, and require bit-exact agreement with the reference pairing
-//! library. Also checks the cycle-accurate IPC band per curve.
+//! library. Also checks the cycle-accurate IPC band per curve, and pins
+//! the co-design loop's output on the Figure 10 design points.
 
 use finesse_compiler::{compile_pairing, tower_shape, CompileOptions};
 use finesse_curves::{all_specs, Curve};
+use finesse_dse::figure10_points;
 use finesse_ff::BigUint;
 use finesse_hw::HwModel;
 use finesse_ir::convert::{fps_to_fpk, fq_to_fps};
@@ -149,4 +151,59 @@ fn vliw_compilation_is_correct_and_faster() {
         r4.cycles,
         r1.cycles
     );
+}
+
+/// FNV-1a-64 over the little-endian bytes of an instruction image.
+fn fnv1a64(words: &[u32]) -> u64 {
+    words
+        .iter()
+        .flat_map(|w| w.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+#[test]
+fn figure10_points_compile_and_simulate_to_pinned_results() {
+    // Per BN254N Figure 10 point: simulated cycles, stall cycles and
+    // write-back conflicts; the scheduler's predicted cycles; peak live
+    // registers; and a digest of the linked image. Any change to the
+    // scheduler, the register allocator, the linker or the simulator that
+    // moves one of these must be deliberate.
+    #[rustfmt::skip]
+    const PINNED: [(&str, u64, u64, u64, u64, u32, u64); 15] = [
+        ("Manual @ L38/S8 single-issue",     70843, 4606, 3716, 70799, 353, 0xe1a7_3a24_1e00_9344),
+        ("All sch. @ L38/S8 single-issue",   86457, 7857, 6942, 86415, 398, 0xa06d_cf1d_d118_2ea7),
+        ("All karat. @ L38/S8 single-issue", 73252, 3389, 2510, 73208, 328, 0x866a_8b6e_e005_a3b5),
+        ("Manual @ L8/S2 single-issue",      68812, 2605, 1975, 68794, 265, 0xd0e0_8fb7_6794_d54c),
+        ("All sch. @ L8/S2 single-issue",    80896, 2326, 1760, 80878, 369, 0x53f1_92d0_e9ed_d037),
+        ("All karat. @ L8/S2 single-issue",  72624, 2791, 2198, 72606, 277, 0x7783_bb7b_a278_b452),
+        ("Manual @ L8/S2 VLIW x2lin",        28159,  555,    0, 28141, 381, 0xe893_d2d1_adb2_17d9),
+        ("All sch. @ L8/S2 VLIW x2lin",      33009,  559,    0, 32991, 198, 0x2de0_5051_da05_d90d),
+        ("All karat. @ L8/S2 VLIW x2lin",    30729,  550,    0, 30711, 292, 0x8cc9_9a3e_287a_c8f6),
+        ("Manual @ L8/S2 VLIW x4lin",        19667,  557,    0, 19649, 356, 0x1348_4a6c_92b4_c9d2),
+        ("All sch. @ L8/S2 VLIW x4lin",      30617,  560,    0, 30599, 193, 0x2a7d_3a83_9673_3f9a),
+        ("All karat. @ L8/S2 VLIW x4lin",    18828,  559,    0, 18810, 460, 0xe22e_350f_dc8d_821e),
+        ("Manual @ L8/S2 VLIW x6lin",        18025,  559,    0, 18007, 359, 0x1571_de4e_20bd_5836),
+        ("All sch. @ L8/S2 VLIW x6lin",      30177,  562,    0, 30159, 227, 0x2a06_8ec7_006b_2013),
+        ("All karat. @ L8/S2 VLIW x6lin",    16728,  561,    0, 16710, 477, 0x43c2_aca8_9970_572c),
+    ];
+    let curve = Curve::by_name("BN254N");
+    let points = figure10_points(&curve);
+    let opts = CompileOptions::default();
+    assert_eq!(points.len(), PINNED.len());
+    for (point, want) in points.iter().zip(PINNED) {
+        let c = compile_pairing(&curve, &point.variants, &point.hw, &opts).unwrap();
+        let r = simulate(&c.image.spec.decode(&c.image.words).unwrap(), &c.hw, None);
+        let got = (
+            point.label.as_str(),
+            r.cycles,
+            r.stall_cycles,
+            r.wb_conflicts,
+            c.schedule.predicted_cycles,
+            c.regs.peak_live,
+            fnv1a64(&c.image.words),
+        );
+        assert_eq!(got, want);
+    }
 }
