@@ -14,8 +14,9 @@
 //! 1024, and 4096 points) and the full pairing per Table-2 curve, a
 //! `batch_verify` block comparing deferred accumulator settles against
 //! sequential 2-pairing verification on the headline curves, plus a
-//! `parallel_scaling` block re-timing msm4096 on the headline curves at
-//! 1/2/4/hardware thread budgets, and writes machine-readable
+//! `parallel_scaling` block re-timing msm4096 and a 30-pair prepared
+//! multi-pairing on the headline curves at 1/2/4/hardware thread budgets,
+//! and writes machine-readable
 //! `results/BENCH_fieldops.json` — stamped with the git commit and ISO
 //! date, so the artifact trail CI uploads per PR is self-describing.
 //!
@@ -255,7 +256,7 @@ const PR4_MSM64_NS: [(&str, f64); 7] = [
 
 /// The metrics [`measure_metric`] knows how to re-run; every manifest
 /// gate names one of these.
-const METRICS: [&str; 12] = [
+const METRICS: [&str; 13] = [
     "fq_mul",
     "g1_mul",
     "g1_mul_fixed",
@@ -268,6 +269,7 @@ const METRICS: [&str; 12] = [
     "kzg_verify_batch_8",
     "decode_g2",
     "evaluate_point",
+    "multi_pair_prepared_30_t2",
 ];
 
 /// One row of the regression-gate manifest.
@@ -283,7 +285,7 @@ struct Gate {
 /// used as the fallback when the committed file is missing or predates
 /// the manifest. `--bench-regress` itself always prefers the *committed*
 /// `results/BENCH_fieldops.json`, so re-baselining is a one-file edit.
-const DEFAULT_GATES: [(&str, &str, f64, f64); 15] = [
+const DEFAULT_GATES: [(&str, &str, f64, f64); 16] = [
     // The historical PR 2 floor contract on the deepest tower.
     ("fq_mul", "BLS24-509", 2800.5, 10.0),
     // Variable-base GLV/JSF path vs the committed PR 4 median.
@@ -315,6 +317,9 @@ const DEFAULT_GATES: [(&str, &str, f64, f64); 15] = [
     // One co-design loop design point: compile, decode, simulate and
     // price BN254N "All karat. @ L38/S8 single-issue" (no write-back FIFO).
     ("evaluate_point", "BN254N", 72_780_876.0, 30.0),
+    // The parallel pairing path: 30 warm prepared Miller loops on two
+    // threads plus one final exponentiation.
+    ("multi_pair_prepared_30_t2", "BLS12-381", 27_535_715.0, 30.0),
 ];
 
 fn default_gates() -> Vec<Gate> {
@@ -448,6 +453,42 @@ fn kzg_bench_points() -> Vec<finesse_ff::BigUint> {
         .collect()
 }
 
+/// One G1 point with the line schedule of its G2 partner.
+type PreparedPair = (
+    finesse_curves::Affine<finesse_ff::Fp>,
+    Arc<finesse_pairing::G2Prepared>,
+);
+
+/// `n` distinct G1 points paired with `n` distinct G2 points prepared
+/// once up front — the input of one `multi_pair_prepared` settle whose
+/// line schedules are all already in hand.
+fn prepared_pairs(engine: &finesse_pairing::PairingEngine, n: u64) -> Vec<PreparedPair> {
+    use finesse_ff::BigUint;
+    let curve = engine.curve();
+    (0..n)
+        .map(|i| {
+            let p = curve.g1_mul(curve.g1_generator(), &BigUint::from_u64(i * i + 0x5EED));
+            let q = curve.g2_mul(curve.g2_generator(), &BigUint::from_u64(3 * i + 0xA11CE));
+            (p, engine.prepare_g2(&q))
+        })
+        .collect()
+}
+
+/// Median ns of one `multi_pair_prepared` over `pairs` on `threads`
+/// threads.
+fn multi_pair_prepared_ns(
+    engine: &finesse_pairing::PairingEngine,
+    pairs: &[PreparedPair],
+    threads: usize,
+) -> f64 {
+    use std::hint::black_box;
+    finesse_parallel::with_threads(threads, || {
+        bench_ns(|| {
+            black_box(engine.multi_pair_prepared(black_box(pairs)));
+        })
+    })
+}
+
 /// Settles one accumulator batch over `checks`; returns the verdict.
 fn settle_batch(engine: &finesse_pairing::PairingEngine, checks: &[BatchCheck]) -> bool {
     let mut acc = finesse_pairing::PairingAccumulator::new(engine);
@@ -573,6 +614,11 @@ fn measure_metric(metric: &str, curve: &Arc<Curve>) -> f64 {
             bench_ns(|| {
                 black_box(evaluate_point(curve, black_box(&point), 1).expect("point compiles"));
             })
+        }
+        "multi_pair_prepared_30_t2" => {
+            let engine = finesse_pairing::PairingEngine::new(Arc::clone(curve));
+            let pairs = prepared_pairs(&engine, 30);
+            multi_pair_prepared_ns(&engine, &pairs, 2)
         }
         other => unreachable!("unvalidated metric `{other}`"),
     }
@@ -812,10 +858,11 @@ fn bench_fieldops_json(which: &str) -> String {
     }
 
     // Scaling-vs-cores report on the headline curves: the same msm4096
-    // workload re-timed with the thread budget pinned to 1, 2, 4, and
-    // the hardware count. On a single-core runner every row degenerates
-    // to the serial path — the emitted `hardware_threads` makes that
-    // visible instead of implying a failed speedup.
+    // and 30-pair prepared multi-pairing workloads re-timed with the
+    // thread budget pinned to 1, 2, 4, and the hardware count. On a
+    // single-core runner every row degenerates to the serial path — the
+    // emitted `hardware_threads` makes that visible instead of implying a
+    // failed speedup.
     let scaling_rows = {
         let threads_axis = {
             let hw = finesse_parallel::hardware_threads();
@@ -844,6 +891,15 @@ fn bench_fieldops_json(which: &str) -> String {
                 });
                 entries.push(format!(
                     "    {{\"curve\": \"{name}\", \"metric\": \"msm4096\", \
+                     \"threads\": {t}, \"ns\": {ns:.0}}}"
+                ));
+            }
+            let engine = PairingEngine::new(curve.clone());
+            let pairs = prepared_pairs(&engine, 30);
+            for &t in &threads_axis {
+                let ns = multi_pair_prepared_ns(&engine, &pairs, t);
+                entries.push(format!(
+                    "    {{\"curve\": \"{name}\", \"metric\": \"multi_pair_prepared_30\", \
                      \"threads\": {t}, \"ns\": {ns:.0}}}"
                 ));
             }
@@ -935,7 +991,7 @@ fn bench_fieldops_json(which: &str) -> String {
          \n  \"curves\": [\n{}\n  ],\n\
          \n  \"batch_verify\": {{\n    \"note\": \"n BLS-shaped checks e(sig,G2)=?e(h,pk) against 4 signers: one PairingAccumulator settle (prepared-G2 Miller loops, 128-bit RLC weights, short-scalar MSMs, one final exponentiation) vs n sequential 2-pairing verifications\",\n    \"rows\": [\n{batch_verify_rows}\n    ]\n  }},\n\
          \n  \"kzg\": {{\n    \"note\": \"finesse-poly serving path: commit = [p(tau)]G1 over a 256-coefficient polynomial (msm256 on the SRS powers); open_batch = one BDFG20 proof pair for 8 points; verify_batch = 8 single-opening claims settled in two cached Miller loops (fixed-G2 form, warm prepared cache)\",\n    \"rows\": [\n{kzg_rows}\n    ]\n  }},\n\
-         \n  \"parallel_scaling\": {{\n    \"note\": \"msm4096 re-timed with the FINESSE_THREADS budget pinned per row; hardware_threads is the emitting machine's available parallelism — rows at or above it cannot speed up further\",\n    \"hardware_threads\": {},\n    \"rows\": [\n{scaling_rows}\n    ]\n  }},\n  \"pr4_baseline_ns\": {{\n    \"note\": \"GLV/GLS split with per-term wNAF tables (PR 4) before the fixed-base comb, JSF pair recoding, and batch-affine Pippenger buckets\",\n    \"g1_mul\": {{{}}},\n    \"g2_mul\": {{{}}},\n    \"msm64_g1\": {{{}}}\n  }},\n  \"pr3_baseline_ns\": {{\n    \"note\": \"plain width-4 wNAF ladders (PR 3) before the GLV/GLS endomorphism split; naive_msm64 = 64 independent g1_muls + adds\",\n    \"g1_mul\": {{{}}},\n    \"g2_mul\": {{{}}},\n    \"naive_msm64\": {{{}}}\n  }},\n  \"pr2_baseline_ns\": {{\n    \"note\": \"allocation-free Fp (PR 2) before the lazy-reduction rewrite; the fq_mul gate floor\",\n    \"fq_mul\": {{{}}}\n  }},\n  \"pre_pr_baseline_ns\": {{\n    \"note\": \"Vec-limbed Fp before the inline-limb rewrite (criterion-shim medians, same machine)\",\n    \"fp_mul\": {{{}}},\n    \"fq_mul\": {{{}}},\n    \"pairing\": {{{}}}\n  }}\n}}\n",
+         \n  \"parallel_scaling\": {{\n    \"note\": \"msm4096 and multi_pair_prepared_30 (30 warm prepared pairs, one final exponentiation) re-timed with the FINESSE_THREADS budget pinned per row; hardware_threads is the emitting machine's available parallelism — rows at or above it cannot speed up further\",\n    \"hardware_threads\": {},\n    \"rows\": [\n{scaling_rows}\n    ]\n  }},\n  \"pr4_baseline_ns\": {{\n    \"note\": \"GLV/GLS split with per-term wNAF tables (PR 4) before the fixed-base comb, JSF pair recoding, and batch-affine Pippenger buckets\",\n    \"g1_mul\": {{{}}},\n    \"g2_mul\": {{{}}},\n    \"msm64_g1\": {{{}}}\n  }},\n  \"pr3_baseline_ns\": {{\n    \"note\": \"plain width-4 wNAF ladders (PR 3) before the GLV/GLS endomorphism split; naive_msm64 = 64 independent g1_muls + adds\",\n    \"g1_mul\": {{{}}},\n    \"g2_mul\": {{{}}},\n    \"naive_msm64\": {{{}}}\n  }},\n  \"pr2_baseline_ns\": {{\n    \"note\": \"allocation-free Fp (PR 2) before the lazy-reduction rewrite; the fq_mul gate floor\",\n    \"fq_mul\": {{{}}}\n  }},\n  \"pre_pr_baseline_ns\": {{\n    \"note\": \"Vec-limbed Fp before the inline-limb rewrite (criterion-shim medians, same machine)\",\n    \"fp_mul\": {{{}}},\n    \"fq_mul\": {{{}}},\n    \"pairing\": {{{}}}\n  }}\n}}\n",
         git_commit(),
         iso_date_utc(),
         rows.join(",\n"),

@@ -2,9 +2,13 @@
 //! path.
 //!
 //! [`FpCtx`] owns everything derived from the modulus (limb width, `n0'`,
-//! `R^2 mod p`); [`Fp`] is a fixed-width element bound to its context via
-//! `Arc`, so elements of different fields can never be mixed silently —
-//! mixing panics in debug and release alike.
+//! `R^2 mod p`). Contexts are interned: one per modulus, built on first
+//! request and kept for the life of the process. [`Fp`] is a fixed-width
+//! element holding a plain `&'static` reference to its context, so it
+//! shares no mutable state with any other element — cloning copies bytes,
+//! dropping does nothing, and threads working on elements of one field
+//! never write a common cache line. Elements of different fields can never
+//! be mixed silently: mixing panics in debug and release alike.
 //!
 //! # Representation
 //!
@@ -42,7 +46,7 @@ use crate::limbs::{
 };
 use crate::BigUint;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Context for a prime field F_p: the modulus and Montgomery constants.
 ///
@@ -80,6 +84,30 @@ pub struct FpCtx {
     /// bounded by `k·p²` is Montgomery-reducible iff `k ≤ 2^headroom`
     /// (both reduce to `k·p ≤ R`).
     headroom: u32,
+    /// The leaked table handle this context was interned as; set by
+    /// [`intern`] before the context is visible to anyone else.
+    handle: OnceLock<&'static Arc<FpCtx>>,
+}
+
+/// Every field context of the process, one per modulus. Entries are
+/// leaked and never removed, so an element can reference its context with
+/// a plain `&'static`; the table grows only with the number of distinct
+/// moduli, and a handful of curves needs no faster lookup than a scan.
+static CONTEXTS: Mutex<Vec<&'static Arc<FpCtx>>> = Mutex::new(Vec::new());
+
+/// Returns the process-wide context for the odd modulus `p` (at most
+/// [`MAX_LIMBS`] limbs), building and registering it on first request.
+fn intern(p: BigUint) -> &'static Arc<FpCtx> {
+    // The table only ever gains fully built entries, so a lock poisoned by
+    // a panicking thread still guards a valid table.
+    let mut table = CONTEXTS.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(&ctx) = table.iter().find(|c| c.p == p) {
+        return ctx;
+    }
+    let ctx: &'static Arc<FpCtx> = Box::leak(Box::new(Arc::new(FpCtx::build(p))));
+    ctx.handle.get_or_init(|| ctx);
+    table.push(ctx);
+    ctx
 }
 
 /// A single-width value under *incomplete* (lazy) reduction: the integer
@@ -220,8 +248,14 @@ impl fmt::Display for FieldBytesError {
 impl std::error::Error for FieldBytesError {}
 
 impl FpCtx {
-    /// Creates a field context, verifying the modulus is an odd probable
-    /// prime.
+    /// Returns the field context for `p`, verifying the modulus is an odd
+    /// probable prime.
+    ///
+    /// Contexts are interned: every call with the same modulus returns a
+    /// handle to the same context (so their elements mix freely), built on
+    /// the first call and kept for the life of the process. Memory is
+    /// bounded by the number of distinct moduli, not by the number of
+    /// calls.
     ///
     /// # Errors
     ///
@@ -238,17 +272,19 @@ impl FpCtx {
         if !p.is_probable_prime(40) {
             return Err(FieldCtxError::NotPrime);
         }
-        Ok(Arc::new(Self::new_unchecked(p)))
+        Ok(Arc::clone(intern(p)))
     }
 
-    /// Creates a context without the primality check (any odd modulus).
+    /// Returns the context for `p` without the primality check (any odd
+    /// modulus). Interned exactly like [`FpCtx::new`]: the same modulus
+    /// always yields the same context, which lives for the process.
     ///
     /// # Panics
     ///
     /// Panics if `p` is even, `< 3`, or wider than [`MAX_LIMBS`] limbs —
     /// wider moduli belong to [`BigUint::modpow`], which carries its own
     /// arbitrary-width Montgomery path.
-    pub fn new_unchecked(p: BigUint) -> Self {
+    pub fn new_unchecked(p: BigUint) -> Arc<Self> {
         assert!(
             !p.is_even() && !p.is_one() && !p.is_zero(),
             "modulus must be odd and >= 3"
@@ -258,6 +294,13 @@ impl FpCtx {
             width <= MAX_LIMBS,
             "modulus has {width} limbs; FpCtx supports at most {MAX_LIMBS} (640 bits)"
         );
+        Arc::clone(intern(p))
+    }
+
+    /// Derives the Montgomery constants of a modulus already checked by
+    /// [`FpCtx::new_unchecked`]; only [`intern`] calls this.
+    fn build(p: BigUint) -> Self {
+        let width = p.limbs().len();
         let p_limbs = Limbs::from_slice(&p.to_fixed_limbs(width));
         let n0 = mont_neg_inv(p_limbs.as_slice()[0]);
         // R = 2^(64*width); compute R^2 mod p and R mod p by division.
@@ -290,6 +333,19 @@ impl FpCtx {
             modulus_bits,
             p2,
             headroom,
+            handle: OnceLock::new(),
+        }
+    }
+
+    /// The interned handle of this context.
+    #[inline]
+    fn handle(&self) -> &'static Arc<FpCtx> {
+        match self.handle.get() {
+            Some(handle) => handle,
+            // Unreachable: every context is created by `intern`, which
+            // sets the handle first. Re-interning by modulus would still
+            // yield the one context of this field.
+            None => intern(self.p.clone()),
         }
     }
 
@@ -741,41 +797,41 @@ impl fmt::Debug for FpCtx {
 /// Context-bound constructors returning [`Fp`] elements.
 impl FpCtx {
     /// The additive identity of this field.
-    pub fn zero(self: &Arc<Self>) -> Fp {
+    pub fn zero(&self) -> Fp {
         Fp {
-            ctx: Arc::clone(self),
+            ctx: self.handle(),
             v: Limbs::zero(self.width),
         }
     }
 
     /// The multiplicative identity of this field.
-    pub fn one(self: &Arc<Self>) -> Fp {
+    pub fn one(&self) -> Fp {
         Fp {
-            ctx: Arc::clone(self),
+            ctx: self.handle(),
             v: *self.mont_one(),
         }
     }
 
     /// Embeds a `u64`.
-    pub fn from_u64(self: &Arc<Self>, v: u64) -> Fp {
+    pub fn from_u64(&self, v: u64) -> Fp {
         self.from_biguint(&BigUint::from_u64(v))
     }
 
     /// Embeds an arbitrary integer, reducing mod `p`.
-    pub fn from_biguint(self: &Arc<Self>, v: &BigUint) -> Fp {
+    pub fn from_biguint(&self, v: &BigUint) -> Fp {
         let reduced = if v < &self.p {
             v.clone()
         } else {
             v.rem(&self.p)
         };
         Fp {
-            ctx: Arc::clone(self),
+            ctx: self.handle(),
             v: self.to_mont(&reduced),
         }
     }
 
     /// Embeds a signed integer, reducing into `[0, p)`.
-    pub fn from_i64(self: &Arc<Self>, v: i64) -> Fp {
+    pub fn from_i64(&self, v: i64) -> Fp {
         let f = self.from_u64(v.unsigned_abs());
         if v < 0 {
             -&f
@@ -786,7 +842,7 @@ impl FpCtx {
 
     /// Deterministically derives a field element from a seed (xorshift
     /// stream reduced mod p) — used for reproducible test vectors.
-    pub fn sample(self: &Arc<Self>, seed: u64) -> Fp {
+    pub fn sample(&self, seed: u64) -> Fp {
         let mut state = seed ^ 0xA076_1D64_78BD_642F;
         let mut limbs = Vec::with_capacity(self.width + 1);
         for _ in 0..=self.width {
@@ -815,7 +871,7 @@ impl FpCtx {
     ///
     /// [`FieldBytesError::Length`] on a wrong-sized slice,
     /// [`FieldBytesError::NonCanonical`] when the value is `>= p`.
-    pub fn from_bytes_be(self: &Arc<Self>, bytes: &[u8]) -> Result<Fp, FieldBytesError> {
+    pub fn from_bytes_be(&self, bytes: &[u8]) -> Result<Fp, FieldBytesError> {
         let expected = self.byte_len();
         if bytes.len() != expected {
             return Err(FieldBytesError::Length {
@@ -838,30 +894,39 @@ impl FpCtx {
 
 /// A prime-field element in Montgomery form, bound to its [`FpCtx`].
 ///
-/// The limbs live inline ([`Limbs`]); cloning copies a stack buffer and
-/// bumps the context's `Arc` refcount — no field operation allocates.
+/// A plain value: inline limbs ([`Limbs`]) and a `&'static` reference to
+/// the interned context. Cloning copies a stack buffer, dropping does
+/// nothing, and no field operation allocates or touches shared state.
 #[derive(Clone)]
 pub struct Fp {
-    ctx: Arc<FpCtx>,
+    ctx: &'static FpCtx,
     pub(crate) v: Limbs,
 }
 
 impl Fp {
     /// The owning field context.
     pub fn ctx(&self) -> &Arc<FpCtx> {
-        &self.ctx
+        self.ctx.handle()
     }
 
     /// Wraps canonical Montgomery-form limbs produced by the lazy kernels
     /// (e.g. [`FpCtx::redc_into`]) back into a field element.
-    pub(crate) fn from_mont_limbs(ctx: &Arc<FpCtx>, v: Limbs) -> Fp {
+    pub(crate) fn from_mont_limbs(ctx: &FpCtx, v: Limbs) -> Fp {
         debug_assert!(
             cmp_slices(v.as_slice(), ctx.p_limbs.as_slice()) == std::cmp::Ordering::Less,
             "limbs are not a canonical residue"
         );
         Fp {
-            ctx: Arc::clone(ctx),
+            ctx: ctx.handle(),
             v,
+        }
+    }
+
+    /// The zero of this element's field.
+    pub(crate) fn zero_like(&self) -> Fp {
+        Fp {
+            ctx: self.ctx,
+            v: Limbs::zero(self.ctx.width),
         }
     }
 
@@ -877,7 +942,7 @@ impl Fp {
 
     fn check_ctx(&self, other: &Fp) {
         assert!(
-            Arc::ptr_eq(&self.ctx, &other.ctx),
+            std::ptr::eq(self.ctx, other.ctx),
             "mixed elements from different field contexts"
         );
     }
@@ -994,7 +1059,7 @@ impl Fp {
     pub fn mul(&self, other: &Fp) -> Fp {
         self.check_ctx(other);
         Fp {
-            ctx: Arc::clone(&self.ctx),
+            ctx: self.ctx,
             v: self.ctx.mont_mul(&self.v, &other.v),
         }
     }
@@ -1004,7 +1069,7 @@ impl Fp {
     #[inline]
     pub fn square(&self) -> Fp {
         Fp {
-            ctx: Arc::clone(&self.ctx),
+            ctx: self.ctx,
             v: self.ctx.mont_sqr(&self.v),
         }
     }
@@ -1074,7 +1139,7 @@ impl Fp {
                     acc = self.ctx.mul_noreduce(&acc, &base);
                 }
             }
-            return Fp::from_mont_limbs(&self.ctx, self.ctx.reduce(&acc));
+            return Fp::from_mont_limbs(self.ctx, self.ctx.reduce(&acc));
         }
         let mut acc = self.ctx.one();
         for i in (0..e.bits()).rev() {
@@ -1112,7 +1177,7 @@ impl Fp {
         let Some(first) = elems.first() else {
             return;
         };
-        let ctx = Arc::clone(first.ctx());
+        let ctx = first.ctx;
         // prefix[i] = elems[0] · … · elems[i-1]
         let mut prefix = Vec::with_capacity(elems.len());
         let mut acc = ctx.one();
@@ -1204,7 +1269,7 @@ impl Fp {
 
 impl PartialEq for Fp {
     fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.ctx, &other.ctx) && self.v == other.v
+        std::ptr::eq(self.ctx, other.ctx) && self.v == other.v
     }
 }
 

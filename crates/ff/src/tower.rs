@@ -114,7 +114,7 @@ impl Fq {
 
     /// qdeg-2 element (zero-padded tail).
     fn new2(c0: Fp, c1: Fp) -> Self {
-        let z = c0.ctx().zero();
+        let z = c0.zero_like();
         Fq {
             c: [c0, c1, z.clone(), z],
             len: 2,

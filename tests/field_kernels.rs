@@ -5,14 +5,16 @@
 //! primes of all seven Table-2 curves — including the 10-limb
 //! (`MAX_LIMBS`) BN638/BLS12-638 edge where the inline buffers are full.
 //! The F_p and F_q square roots are checked against Euler's criterion on
-//! the same seven curves.
+//! the same seven curves. Context interning (one `FpCtx` per modulus,
+//! shared across constructors, curve rebuilds and threads) and the
+//! plain-value element layout are pinned here too.
 //!
 //! Cases come from the same deterministic splitmix64 stream used by
 //! `tests/properties.rs` (offline build, no proptest).
 
-use finesse_curves::{all_specs, Curve};
-use finesse_ff::{BigUint, Fp, FpCtx, Fq, TowerCtx, MAX_LIMBS};
-use std::sync::Arc;
+use finesse_curves::{all_specs, spec_by_name, Curve};
+use finesse_ff::{BigUint, Fp, FpCtx, Fpk, Fq, TowerCtx, MAX_LIMBS};
+use std::sync::{Arc, Barrier};
 
 /// Deterministic splitmix64 stream; every test derives its cases from this.
 struct Rng(u64);
@@ -44,7 +46,7 @@ fn table2_fields() -> Vec<(&'static str, Arc<FpCtx>)> {
                 .prime(&s.t())
                 .to_biguint()
                 .expect("table-2 primes are positive");
-            (s.name, Arc::new(FpCtx::new_unchecked(p)))
+            (s.name, FpCtx::new_unchecked(p))
         })
         .collect()
 }
@@ -59,6 +61,72 @@ fn table2_widths_cover_the_max_limbs_edge() {
     for ((name, _), w) in fields.iter().zip(&widths) {
         assert!(*w <= MAX_LIMBS, "{name}: width {w} over MAX_LIMBS");
     }
+}
+
+#[test]
+fn field_elements_have_no_drop_glue() {
+    // An element holds a plain `&'static` to its interned context, not a
+    // refcount: cloning copies bytes and dropping does nothing.
+    assert!(!std::mem::needs_drop::<Fp>());
+    assert!(!std::mem::needs_drop::<Fq>());
+    assert!(!std::mem::needs_drop::<Fpk>());
+}
+
+#[test]
+fn contexts_are_interned_per_modulus() {
+    // 2^64 − 2^32 + 1, a prime no other test in this file uses.
+    let p = BigUint::from_u64(0xFFFF_FFFF_0000_0001);
+    let a = FpCtx::new(p.clone()).unwrap();
+    let b = FpCtx::new(p.clone()).unwrap();
+    assert!(Arc::ptr_eq(&a, &b), "new: one context per modulus");
+    let c = FpCtx::new_unchecked(p.clone());
+    let d = FpCtx::new_unchecked(p);
+    assert!(Arc::ptr_eq(&c, &d), "new_unchecked: one per modulus");
+    assert!(Arc::ptr_eq(&a, &c), "both constructors share the table");
+    assert!(Arc::ptr_eq(a.one().ctx(), &a), "elements share the handle");
+}
+
+#[test]
+fn curve_rebuilds_share_the_field_context() {
+    let spec = spec_by_name("BLS12-381").unwrap();
+    let a = Curve::from_spec(spec).unwrap();
+    let b = Curve::from_spec(spec).unwrap();
+    assert!(Arc::ptr_eq(a.fp(), b.fp()));
+    assert_eq!(a.g1_generator(), b.g1_generator());
+    assert_eq!(a.g2_generator(), b.g2_generator());
+    // Points of the two builds mix without the mixed-context panic.
+    let g = a.g1_generator();
+    assert_eq!(a.g1_add(g, b.g1_generator()), a.g1_add(g, g));
+}
+
+#[test]
+fn concurrent_interning_yields_one_context() {
+    // The Mersenne prime 2^61 − 1: no other test in this file uses it, so
+    // the four threads race to create its context.
+    let p = BigUint::from_u64((1 << 61) - 1);
+    let barrier = Barrier::new(4);
+    let built: Vec<(Arc<FpCtx>, Fp)> = std::thread::scope(|s| {
+        let workers: Vec<_> = (2..6u64)
+            .map(|k| {
+                let (p, barrier) = (p.clone(), &barrier);
+                s.spawn(move || {
+                    barrier.wait();
+                    let ctx = FpCtx::new(p).unwrap();
+                    let x = ctx.from_u64(k);
+                    (ctx, x)
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    for (ctx, _) in &built[1..] {
+        assert!(Arc::ptr_eq(&built[0].0, ctx), "one context per modulus");
+    }
+    // Elements built on different threads multiply: 2·3·4·5.
+    let product = built[1..]
+        .iter()
+        .fold(built[0].1.clone(), |acc, (_, x)| &acc * x);
+    assert_eq!(product.to_biguint(), BigUint::from_u64(120));
 }
 
 #[test]
