@@ -12,9 +12,8 @@
 use crate::cache::{g1_point_key, g2_point_key, PointKeyedCache};
 use crate::glv::{self, GlvBasis};
 use crate::point::{
-    affine_neg, batch_to_affine, is_identity, is_on_curve, jac_add, jac_mul, jac_multi_mul_mapped,
-    msm as point_msm, to_affine, to_jacobian, Affine, EndoMap, FieldOps, FpOps, FqOps, Jacobian,
-    MulTerm, TableMap,
+    affine_neg, batch_to_affine, is_identity, is_on_curve, jac_add, jac_mul, msm, to_affine,
+    to_jacobian, Affine, EndoMap, FpOps, FqOps, Jacobian, MulTerm, TableMap,
 };
 use crate::precompute::{G1Precomputed, G2Precomputed, Precomputed};
 use crate::spec::{CurveSpec, Family};
@@ -76,8 +75,8 @@ pub enum CurveError {
     ExponentDerivation(&'static str),
     /// An MSM was called with differing numbers of points and scalars.
     MsmLengthMismatch {
-        /// Which group-level entry point caught it ("g1_msm" or
-        /// "g2_msm").
+        /// Which group-level entry point caught it ("g1_msm",
+        /// "g1_msm_short" or "g2_msm").
         what: &'static str,
         /// Number of points supplied.
         points: usize,
@@ -903,64 +902,46 @@ impl Curve {
         self.gls_digits_reduced(&self.reduce_mod_r(k))
     }
 
-    /// Builds the 2-GLV term pair for one G1 point/scalar: `±|k₁|·P`
-    /// plus `±|k₂|·φ(P)`, with the φ term's odd-multiples table derived
-    /// from P's by mapping `x ↦ βx` (φ is a group homomorphism, so
+    /// `Σ [kᵢ]Pᵢ` over G1 through [`msm`], each scalar reduced mod r
+    /// first. With GLV data each input becomes the 2-GLV pair
+    /// `±|k₁|·P ± |k₂|·φ(P)`, and the φ term's odd-multiples table is P's
+    /// mapped by `x ↦ βx` (φ is a group homomorphism, so
     /// `φ((2i+1)P) = (2i+1)φ(P)`).
-    fn glv_terms(
-        glv: &GlvG1,
-        p: &Affine<Fp>,
-        k: &BigUint,
-        terms: &mut Vec<MulTerm<Fp>>,
-        phi_source: &mut Vec<Option<usize>>,
-    ) {
-        let (k1, k2) = glv::decompose(k, &glv.basis);
-        let base_idx = if k1.is_zero() {
-            None
-        } else {
-            terms.push(MulTerm {
-                point: p.clone(),
-                scalar: k1.magnitude().clone(),
-                negate: k1.is_negative(),
-            });
-            phi_source.push(None);
-            Some(terms.len() - 1)
-        };
-        if !k2.is_zero() {
-            terms.push(MulTerm {
-                point: Affine::new(&p.x * &glv.beta, p.y.clone()),
-                scalar: k2.magnitude().clone(),
-                negate: k2.is_negative(),
-            });
-            phi_source.push(base_idx);
-        }
-    }
-
-    /// Runs the interleaved kernel over GLV terms with φ-mapped tables
-    /// (`X ↦ βX` in both coordinate systems, since x scales by β exactly
-    /// when X does).
-    fn glv_multi_mul(
+    fn g1_split_msm<'a>(
         &self,
-        glv: &GlvG1,
         ops: &FpOps,
-        terms: &[MulTerm<Fp>],
-        phi_source: &[Option<usize>],
+        inputs: impl IntoIterator<Item = (&'a Affine<Fp>, &'a BigUint)>,
     ) -> Jacobian<Fp> {
-        let phi_aff = |e: &Affine<Fp>| Affine::new(&e.x * &glv.beta, e.y.clone());
-        let phi_jac = |e: &Jacobian<Fp>| Jacobian {
-            x: &e.x * &glv.beta,
-            y: e.y.clone(),
-            z: e.z.clone(),
+        let glv = self.glv_g1.as_ref();
+        let mut terms = Vec::new();
+        for (p, k) in inputs {
+            let k = self.reduce_mod_r(k);
+            if p.infinity || k.is_zero() {
+                continue;
+            }
+            match glv {
+                Some(glv) => {
+                    let (k1, k2) = glv::decompose(&k, &glv.basis);
+                    terms.push(signed_term(p.clone(), &k1));
+                    terms.push(signed_term(Affine::new(&p.x * &glv.beta, p.y.clone()), &k2));
+                }
+                None => terms.push(MulTerm {
+                    point: p.clone(),
+                    scalar: k,
+                    negate: false,
+                }),
+            }
+        }
+        let Some(glv) = glv else {
+            return msm(ops, &terms, &[]);
         };
-        let endo = EndoMap {
-            affine: &phi_aff,
-            jacobian: &phi_jac,
-        };
-        let table_maps: Vec<TableMap<Fp>> = phi_source
-            .iter()
-            .map(|m| m.map(|src| (src, endo)))
+        // GLV terms alternate P, φ(P): every odd term maps its table from
+        // the term before it.
+        let phi = |e: &Affine<Fp>| Affine::new(&e.x * &glv.beta, e.y.clone());
+        let table_maps: Vec<TableMap<Fp>> = (0..terms.len())
+            .map(|i| (i % 2 == 1).then(|| (i - 1, &phi as EndoMap<Fp>)))
             .collect();
-        jac_multi_mul_mapped(ops, terms, &table_maps)
+        msm(ops, &terms, &table_maps)
     }
 
     /// G1 scalar multiplication on the r-torsion, returning an affine
@@ -989,16 +970,7 @@ impl Curve {
                 return self.precompute_g1(p).inner.mul(&ops, &k);
             }
         }
-        let acc = match self.glv_g1.as_ref() {
-            Some(glv) if !p.infinity && !k.is_zero() => {
-                let mut terms = Vec::with_capacity(2);
-                let mut phi_source = Vec::with_capacity(2);
-                Self::glv_terms(glv, p, &k, &mut terms, &mut phi_source);
-                self.glv_multi_mul(glv, &ops, &terms, &phi_source)
-            }
-            _ => jac_mul(&ops, p, &k),
-        };
-        to_affine(&ops, &acc)
+        to_affine(&ops, &self.g1_split_msm(&ops, [(p, &k)]))
     }
 
     /// Builds (or fetches) the `Arc`-shared fixed-base table for `base`
@@ -1061,99 +1033,33 @@ impl Curve {
         }
     }
 
-    /// Builds the GLS term list `±|dᵢ|·ψⁱ(Q)` for one G2 point/scalar.
-    /// Each term also records `(source term, ψ-power gap)` so its
-    /// odd-multiples table can be derived from the previous live term's
-    /// table through ψ (a group homomorphism) instead of rebuilt.
-    fn gls_terms(
-        &self,
-        q: &Affine<Fq>,
-        digits: &[BigInt],
-        terms: &mut Vec<MulTerm<Fq>>,
-        psi_source: &mut Vec<Option<(usize, usize)>>,
-    ) {
-        let mut psi_q = q.clone();
-        let mut last_live: Option<(usize, usize)> = None; // (term idx, ψ power)
-        for (i, d) in digits.iter().enumerate() {
-            if i > 0 {
-                psi_q = self.psi(&psi_q);
-            }
-            if d.is_zero() {
-                continue;
-            }
-            let idx = terms.len();
-            psi_source.push(last_live.map(|(src, pow)| (src, i - pow)));
-            terms.push(MulTerm {
-                point: psi_q.clone(),
-                scalar: d.magnitude().clone(),
-                negate: d.is_negative(),
-            });
-            last_live = Some((idx, i));
-        }
-    }
-
-    /// ψ in Jacobian coordinates: `(X, Y, Z) ↦ (γx·Xᵖ, γy·Yᵖ, Zᵖ)`
-    /// (Frobenius is multiplicative, so x = X/Z² maps to γx·xᵖ exactly
-    /// when the coordinates do).
-    fn psi_jacobian(&self, q: &Jacobian<Fq>) -> Jacobian<Fq> {
-        Jacobian {
-            x: self.tower.fq_mul(&self.tower.fq_frob(&q.x, 1), &self.psi_x),
-            y: self.tower.fq_mul(&self.tower.fq_frob(&q.y, 1), &self.psi_y),
-            z: self.tower.fq_frob(&q.z, 1),
-        }
-    }
-
-    /// Runs the interleaved kernel over GLS terms with ψ-mapped tables.
-    fn gls_multi_mul(
+    /// `Σ [kᵢ]Qᵢ` over G2 through [`msm`], each scalar reduced mod r
+    /// first: each input becomes its GLS terms `±|dⱼ|·ψʲ(Q)`, and each ψʲ(Q)
+    /// term's odd-multiples table is the ψʲ⁻¹(Q) term's mapped through ψ
+    /// (a group homomorphism) instead of rebuilt.
+    fn g2_split_msm<'a>(
         &self,
         ops: &FqOps,
-        terms: &[MulTerm<Fq>],
-        psi_source: &[Option<(usize, usize)>],
+        inputs: impl IntoIterator<Item = (&'a Affine<Fq>, &'a BigUint)>,
     ) -> Jacobian<Fq> {
-        type AffMap<'a> = Box<dyn Fn(&Affine<Fq>) -> Affine<Fq> + 'a>;
-        type JacMap<'a> = Box<dyn Fn(&Jacobian<Fq>) -> Jacobian<Fq> + 'a>;
-        let closures: Vec<Option<(AffMap, JacMap)>> = psi_source
-            .iter()
-            .map(|m| {
-                m.map(|(_, gap)| {
-                    let aff = Box::new(move |e: &Affine<Fq>| {
-                        let mut out = self.psi(e);
-                        for _ in 1..gap {
-                            out = self.psi(&out);
-                        }
-                        out
-                    }) as AffMap;
-                    let jac = Box::new(move |e: &Jacobian<Fq>| {
-                        let mut out = self.psi_jacobian(e);
-                        for _ in 1..gap {
-                            out = self.psi_jacobian(&out);
-                        }
-                        out
-                    }) as JacMap;
-                    (aff, jac)
-                })
-            })
-            .collect();
-        let table_maps: Vec<TableMap<Fq>> = psi_source
-            .iter()
-            .zip(&closures)
-            .map(|(m, c)| {
-                // closures[i] is Some exactly when psi_source[i] is Some
-                // (both map over the same source entries), so zipping a
-                // mapped term with its closure pair never misses.
-                match (m, c) {
-                    (Some((src, _)), Some((aff, jac))) => Some((
-                        *src,
-                        EndoMap {
-                            affine: aff.as_ref(),
-                            jacobian: jac.as_ref(),
-                        },
-                    )),
-                    _ => None,
+        let psi = |e: &Affine<Fq>| self.psi(e);
+        let mut terms = Vec::new();
+        let mut table_maps: Vec<TableMap<Fq>> = Vec::new();
+        for (q, k) in inputs {
+            let k = self.reduce_mod_r(k);
+            if q.infinity || k.is_zero() {
+                continue;
+            }
+            let mut psi_q = q.clone();
+            for (j, d) in self.gls_digits_reduced(&k).iter().enumerate() {
+                if j > 0 {
+                    psi_q = self.psi(&psi_q);
                 }
-            })
-            .collect();
-        jac_multi_mul_mapped(ops, terms, &table_maps)
+                table_maps.push((j > 0).then(|| (terms.len() - 1, &psi as EndoMap<Fq>)));
+                terms.push(signed_term(psi_q.clone(), d));
+            }
+        }
+        msm(ops, &terms, &table_maps)
     }
 
     /// G2 scalar multiplication on the r-torsion, returning an affine
@@ -1178,11 +1084,7 @@ impl Curve {
         if *p == self.g2 {
             return self.precompute_g2(p).inner.mul(&ops, &k);
         }
-        let digits = self.gls_digits_reduced(&k);
-        let mut terms = Vec::with_capacity(digits.len());
-        let mut psi_source = Vec::with_capacity(digits.len());
-        self.gls_terms(p, &digits, &mut terms, &mut psi_source);
-        to_affine(&ops, &self.gls_multi_mul(&ops, &terms, &psi_source))
+        to_affine(&ops, &self.g2_split_msm(&ops, [(p, &k)]))
     }
 
     /// Builds (or fetches) the fixed-base table for a G2 `base` and
@@ -1217,11 +1119,12 @@ impl Curve {
         pre.inner.mul(&ops, &self.reduce_mod_r(k))
     }
 
-    /// Multi-scalar multiplication `Σ kᵢ·Pᵢ` over G1 (Pippenger buckets).
+    /// Multi-scalar multiplication `Σ kᵢ·Pᵢ` over G1, through the
+    /// [`crate::point::msm`] kernel dispatch.
     ///
     /// Scalars are reduced mod r and each term is GLV-split along φ
-    /// before bucketing, so the bucket pass runs over twice the points at
-    /// half the bit length — strictly fewer window iterations. For batch
+    /// first, so the kernel runs over twice the points at half the bit
+    /// length — strictly fewer window iterations. For batch
     /// verifiers (BLS aggregate verification, KZG openings) this replaces
     /// a loop of [`Curve::g1_mul`] calls at a fraction of the cost.
     ///
@@ -1236,7 +1139,8 @@ impl Curve {
     /// `scalars` have different lengths — batch verifiers feed these
     /// slices from untrusted transcripts, so the library reports the
     /// mismatch instead of aborting the process (the point-level
-    /// [`crate::point::msm`] kernel keeps its documented assert).
+    /// [`crate::point::msm`] kernel takes a term list, which cannot
+    /// mismatch).
     pub fn g1_msm(
         &self,
         points: &[Affine<Fp>],
@@ -1250,31 +1154,10 @@ impl Curve {
             });
         }
         let ops = FpOps(Arc::clone(&self.fp));
-        let Some(glv) = self.glv_g1.as_ref() else {
-            let mut pts = Vec::with_capacity(points.len());
-            let mut ks = Vec::with_capacity(points.len());
-            for (p, k) in points.iter().zip(scalars) {
-                if p.infinity || k.is_zero() {
-                    continue;
-                }
-                pts.push(p.clone());
-                ks.push(self.reduce_mod_r(k));
-            }
-            return Ok(to_affine(&ops, &point_msm(&ops, &pts, &ks)?));
-        };
-        let mut terms = Vec::with_capacity(points.len() * 2);
-        let mut phi_source = Vec::with_capacity(points.len() * 2);
-        for (p, k) in points.iter().zip(scalars) {
-            if p.infinity || k.is_zero() {
-                continue;
-            }
-            let k = self.reduce_mod_r(k);
-            Self::glv_terms(glv, p, &k, &mut terms, &mut phi_source);
-        }
-        let acc = straus_or_pippenger(&ops, &terms, |t| {
-            self.glv_multi_mul(glv, &ops, t, &phi_source)
-        });
-        Ok(to_affine(&ops, &acc))
+        Ok(to_affine(
+            &ops,
+            &self.g1_split_msm(&ops, points.iter().zip(scalars)),
+        ))
     }
 
     /// [`Curve::g1_msm_short`] with the normalisation deferred: the
@@ -1293,30 +1176,43 @@ impl Curve {
             });
         }
         let ops = FpOps(Arc::clone(&self.fp));
-        // The GLV split rewrites a full-width scalar as two half-width
-        // sub-scalars; a scalar already at most half-width gains nothing
-        // from the split (the Pippenger window count is set by the widest
-        // scalar), so the short path feeds the bucket pass directly. Any
-        // wide scalar sends the whole call down the reducing/splitting
-        // path — the short path must never widen the window geometry.
-        let half_bits = self.r.bits().div_ceil(2);
-        if scalars.iter().any(|k| k.bits() > half_bits) {
-            return Ok(to_jacobian(&ops, &self.g1_msm(points, scalars)?));
+        // The GLV split rewrites a full-width scalar as two sub-scalars of
+        // at most `split_bits` bits; a scalar already that short gains
+        // nothing from the split (the doubling chain is set by the widest
+        // scalar), so the short path feeds the kernel directly. Any wide
+        // scalar sends the whole call down the reducing/splitting path —
+        // the short path must never lengthen the doubling chain.
+        let short_bits = self
+            .glv_g1
+            .as_ref()
+            .map_or_else(|| self.r.bits().div_ceil(2), |glv| glv.basis.split_bits());
+        if scalars.iter().any(|k| k.bits() > short_bits) {
+            return Ok(self.g1_split_msm(&ops, points.iter().zip(scalars)));
         }
-        point_msm(&ops, points, scalars)
+        let terms: Vec<MulTerm<Fp>> = points
+            .iter()
+            .zip(scalars)
+            .map(|(p, k)| MulTerm {
+                point: p.clone(),
+                scalar: k.clone(),
+                negate: false,
+            })
+            .collect();
+        Ok(msm(&ops, &terms, &[]))
     }
 
     /// Multi-scalar multiplication `Σ kᵢ·Pᵢ` over G1 for **short**
     /// scalars — the batch-verification randomizer path (~128-bit
     /// random-linear-combination coefficients).
     ///
-    /// Scalars at most `⌈bits(r)/2⌉` bits skip both the mod-r reduction
-    /// and the GLV endomorphism split and go straight to the Pippenger /
-    /// Straus kernel: the window count follows the actual scalar width,
-    /// so a 128-bit batch runs half the window iterations of a full-width
-    /// MSM on a 255-bit group order. Scalars wider than that fall back to
-    /// [`Curve::g1_msm`] (reduce + split), so the call is correct for any
-    /// input.
+    /// Scalars no wider than the GLV split's sub-scalars (one bit past
+    /// the largest [`GlvBasis`] entry; `⌈bits(r)/2⌉` on a curve without
+    /// GLV data) skip both the mod-r reduction and the split and go
+    /// straight to [`msm`]: the doubling chain follows the actual scalar
+    /// width, so a 128-bit batch runs half the window iterations of a
+    /// full-width MSM on a 255-bit group order. If any scalar is wider,
+    /// the whole call takes the [`Curve::g1_msm`] path (reduce + split),
+    /// so it is correct for any input.
     ///
     /// # Errors
     ///
@@ -1353,9 +1249,9 @@ impl Curve {
         Ok(batch_to_affine(&ops, &jacs))
     }
 
-    /// Multi-scalar multiplication `Σ kᵢ·Qᵢ` over G2 (Pippenger buckets),
-    /// with each term GLS-split along ψ before bucketing (up to 8
-    /// sub-scalars of `|t|` bits each on BLS24). Shards across threads
+    /// Multi-scalar multiplication `Σ kᵢ·Qᵢ` over G2, through the
+    /// [`crate::point::msm`] kernel dispatch, with each term GLS-split
+    /// along ψ first (up to 8 sub-scalars of `|t|` bits each on BLS24). Shards across threads
     /// from [`crate::point::MSM_PARALLEL_MIN`] bucketed terms, like
     /// [`Curve::g1_msm`].
     ///
@@ -1376,18 +1272,10 @@ impl Curve {
             });
         }
         let ops = FqOps(&self.tower);
-        let mut terms = Vec::with_capacity(points.len() * 2);
-        let mut psi_source = Vec::with_capacity(points.len() * 2);
-        for (q, k) in points.iter().zip(scalars) {
-            if q.infinity || k.is_zero() {
-                continue;
-            }
-            let k = self.reduce_mod_r(k);
-            let digits = self.gls_digits_reduced(&k);
-            self.gls_terms(q, &digits, &mut terms, &mut psi_source);
-        }
-        let acc = straus_or_pippenger(&ops, &terms, |t| self.gls_multi_mul(&ops, t, &psi_source));
-        Ok(to_affine(&ops, &acc))
+        Ok(to_affine(
+            &ops,
+            &self.g2_split_msm(&ops, points.iter().zip(scalars)),
+        ))
     }
 
     /// G2 point addition.
@@ -1476,40 +1364,13 @@ impl Curve {
     }
 }
 
-/// Dispatches a GLV/GLS-split term list to the interleaved Straus kernel
-/// (mapped tables, below [`crate::point::MSM_STRAUS_MAX`] terms) or to
-/// Pippenger buckets (negation folded into the points, since buckets
-/// carry no per-term sign).
-fn straus_or_pippenger<O>(
-    ops: &O,
-    terms: &[MulTerm<O::El>],
-    straus: impl FnOnce(&[MulTerm<O::El>]) -> Jacobian<O::El>,
-) -> Jacobian<O::El>
-where
-    O: FieldOps + Sync,
-    O::El: Send + Sync,
-{
-    if terms.len() < crate::point::MSM_STRAUS_MAX {
-        return straus(terms);
+/// The term `±|k|·point` for a signed sub-scalar `k`.
+fn signed_term<E>(point: Affine<E>, k: &BigInt) -> MulTerm<E> {
+    MulTerm {
+        point,
+        scalar: k.magnitude().clone(),
+        negate: k.is_negative(),
     }
-    let pts: Vec<Affine<O::El>> = terms
-        .iter()
-        .map(|t| {
-            if t.negate {
-                affine_neg(ops, &t.point)
-            } else {
-                t.point.clone()
-            }
-        })
-        .collect();
-    let ks: Vec<BigUint> = terms.iter().map(|t| t.scalar.clone()).collect();
-    // pts and ks come from the same term list, so the kernel's length
-    // check cannot fail; map the impossible error to the identity.
-    point_msm(ops, &pts, &ks).unwrap_or(Jacobian {
-        x: ops.one(),
-        y: ops.one(),
-        z: ops.zero(),
-    })
 }
 
 /// Global cache of constructed curves (construction costs tens of ms to

@@ -50,6 +50,18 @@ pub struct GlvBasis {
     shift: usize,
 }
 
+impl GlvBasis {
+    /// Bit-width bound of the sub-scalars [`decompose`] produces. Exact
+    /// rounding leaves `(k₁, k₂)` within half of each basis vector, at most
+    /// the largest entry; the documented off-by-one adds at most one more
+    /// basis vector. So `|kᵢ|` stays below twice the largest entry: one
+    /// bit past it.
+    pub(crate) fn split_bits(&self) -> usize {
+        let entries = [&self.a1, &self.b1, &self.a2, &self.b2];
+        entries.iter().map(|e| e.bits()).max().unwrap_or(0) + 1
+    }
+}
+
 /// `⌊m / 2^s⌉` with ties away from zero, preserving sign.
 fn shift_round(m: &BigInt, s: usize) -> BigInt {
     let half = BigUint::one().shl(s - 1);

@@ -30,9 +30,8 @@ pub use cache::{g1_point_key, g2_point_key, PointKey, PointKeyedCache};
 pub use curve::{Curve, CurveError, GlsG2, GlvG1, TwistKind};
 pub use glv::{jsf, Dim4Basis, GlvBasis};
 pub use point::{
-    affine_neg, batch_to_affine, comb_window, jac_add_affine, jac_mul, jac_multi_mul, msm,
-    scalar_mul, to_affine, Affine, CombTable, EndoMap, FieldOps, FpOps, FqOps, Jacobian, MulTerm,
-    TableMap, WnafScratch,
+    affine_neg, batch_to_affine, comb_window, jac_add_affine, jac_mul, msm, scalar_mul, to_affine,
+    Affine, CombTable, EndoMap, FieldOps, FpOps, FqOps, Jacobian, MulTerm, TableMap, WnafScratch,
 };
 pub use precompute::{G1Precomputed, G2Precomputed};
 pub use spec::{all_specs, spec_by_name, CurveSpec, Family};

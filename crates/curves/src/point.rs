@@ -6,7 +6,6 @@
 //! codebase. The pairing crate layers its own fused line/point formulas on
 //! top of the same trait.
 
-use crate::curve::CurveError;
 use finesse_ff::{BigUint, Fp, FpCtx, Fq, TowerCtx};
 use std::fmt::Debug;
 use std::sync::Arc;
@@ -573,8 +572,8 @@ pub fn comb_window(bits: usize) -> usize {
 ///
 /// Build cost is `(w−1)·d` doublings plus `2^w − w − 1` additions plus one
 /// batched inversion — amortised after a handful of multiplications, which
-/// is why the curve layer caches one comb per generator and only routes
-/// exact generator hits through it.
+/// is why the curve layer builds one only for a registered base (see
+/// [`crate::precompute`]) and routes exact hits on that base through it.
 pub struct CombTable<E> {
     base: Affine<E>,
     window: usize,
@@ -672,8 +671,8 @@ impl<E: Clone + PartialEq + Debug> CombTable<E> {
     }
 }
 
-/// One `(point, sub-scalar)` operand of an interleaved multi-scalar
-/// multiplication. `negate` subtracts instead of adds, which is how signed
+/// One `(point, scalar)` operand of a multi-scalar multiplication
+/// ([`msm`]). `negate` subtracts instead of adds, which is how signed
 /// GLV/GLS sub-scalars are fed without touching the scalar itself.
 #[derive(Clone, Debug)]
 pub struct MulTerm<E> {
@@ -685,39 +684,15 @@ pub struct MulTerm<E> {
     pub negate: bool,
 }
 
-/// Total table entries above which [`jac_multi_mul`] normalises its
-/// odd-multiple tables to affine (one batched inversion via
-/// [`batch_to_affine`]) so the main loop can use the cheaper
-/// [`jac_add_affine`]. Below the threshold the inversion does not
-/// amortise against Fermat-based field inversion.
-const AFFINE_TABLE_MIN_ENTRIES: usize = 3 * WNAF_TABLE;
+/// An endomorphism on affine points (φ is `x ↦ βx`, ψ the
+/// untwist–Frobenius), applied to normalised table entries in [`msm`].
+pub type EndoMap<'a, E> = &'a dyn Fn(&Affine<E>) -> Affine<E>;
 
-/// Both coordinate forms of an endomorphism, for table reuse in
-/// [`jac_multi_mul_mapped`]: the affine form maps normalised table
-/// entries, the Jacobian form maps un-normalised ones (φ is
-/// `X ↦ βX` and ψ is `(X, Y, Z) ↦ (γx·Xᵖ, γy·Yᵖ, Zᵖ)` in Jacobian
-/// coordinates, so both exist and cost a few field operations).
-pub struct EndoMap<'a, E> {
-    /// Affine image of an affine point under the endomorphism.
-    pub affine: &'a dyn Fn(&Affine<E>) -> Affine<E>,
-    /// Jacobian image of a Jacobian point under the same endomorphism.
-    pub jacobian: &'a dyn Fn(&Jacobian<E>) -> Jacobian<E>,
-}
-
-// Manual impls: `derive` would wrongly require `E: Copy`, but the fields
-// are references.
-impl<E> Clone for EndoMap<'_, E> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<E> Copy for EndoMap<'_, E> {}
-
-/// A table-reuse hint for [`jac_multi_mul_mapped`]: entry `i` says term
-/// `i`'s point is `f(terms[source].point)` for a *group homomorphism*
-/// `f`, so its odd-multiples table is the source's table mapped through
-/// `f` entry-by-entry (a few coordinate maps instead of one doubling
-/// plus three full additions).
+/// A table-reuse hint for [`msm`]: entry `i` says term `i`'s point is
+/// `f(terms[source].point)` for a *group homomorphism* `f`, so its
+/// odd-multiples table is the source's table mapped through `f`
+/// entry-by-entry (a few coordinate maps instead of one doubling plus
+/// three full additions).
 pub type TableMap<'a, E> = Option<(usize, EndoMap<'a, E>)>;
 
 /// Shamir double multiplication `±k₀·P₀ ± k₁·P₁` via joint-sparse-form
@@ -729,7 +704,7 @@ pub type TableMap<'a, E> = Option<(usize, EndoMap<'a, E>)>;
 /// flip their digit row's signs, exactly like the wNAF kernel.
 ///
 /// Both points must be finite and both scalars non-zero (the caller,
-/// [`jac_multi_mul_mapped`], filters dead terms first).
+/// [`msm`], filters dead terms first).
 fn jsf_double_mul<O: FieldOps>(
     ops: &O,
     t0: &MulTerm<O::El>,
@@ -778,167 +753,81 @@ fn jsf_double_mul<O: FieldOps>(
 }
 
 /// Interleaved Straus/Shamir multi-scalar multiplication with width-4
-/// wNAF digits: computes `Σᵢ ±kᵢ·Pᵢ` sharing one doubling chain across
-/// all terms, so an m-way GLV/GLS split costs `max bits(kᵢ)` doublings
-/// instead of `Σ bits(kᵢ)`.
+/// wNAF digits over the live terms `live` (indices into `terms`):
+/// computes `Σᵢ ±kᵢ·Pᵢ` sharing one doubling chain across all terms, so
+/// an m-way GLV/GLS split costs `max bits(kᵢ)` doublings instead of
+/// `Σ bits(kᵢ)`.
 ///
-/// Each term gets its own odd-multiples table; with three or more terms
-/// the tables are batch-normalised to affine (one inversion total) and
-/// the additions become mixed additions.
-pub fn jac_multi_mul<O: FieldOps>(ops: &O, terms: &[MulTerm<O::El>]) -> Jacobian<O::El> {
-    jac_multi_mul_mapped(ops, terms, &[])
-}
-
-/// [`jac_multi_mul`] with endomorphism table reuse: `table_maps[i]`
-/// (parallel to `terms`, missing entries mean "build fresh") lets a
-/// GLV/GLS caller derive φ- and ψ-image tables from their source term's
-/// table instead of rebuilding them — in either the batch-normalised
-/// affine path (affine form of the map) or the small-term Jacobian path
-/// (Jacobian form). Sources may themselves be mapped (ψ-power chains),
-/// as long as every source is a live earlier term; a map whose source
-/// term was skipped (infinity point or zero scalar) falls back to a
-/// fresh table.
-///
-/// With exactly two live terms the call routes to the JSF pair kernel,
-/// which builds its own four-entry table and ignores `table_maps`
-/// entirely.
-///
-/// # Panics
-///
-/// Panics if a table map references itself or a later term (three or
-/// more live terms; the two-term JSF route never reads the maps).
-pub fn jac_multi_mul_mapped<O: FieldOps>(
+/// The odd-multiples tables are batch-normalised to affine with one
+/// inversion, so every loop addition is a mixed addition. A term whose
+/// `table_maps` entry names a live earlier term maps that term's table
+/// entry-by-entry instead of building its own (sources may themselves
+/// be mapped, as in ψ-power chains); any other entry builds a fresh
+/// table.
+fn straus<O: FieldOps>(
     ops: &O,
     terms: &[MulTerm<O::El>],
+    live: &[usize],
     table_maps: &[TableMap<O::El>],
 ) -> Jacobian<O::El> {
-    let identity = Jacobian {
-        x: ops.one(),
-        y: ops.one(),
-        z: ops.zero(),
-    };
-    let live: Vec<usize> = terms
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| !t.point.infinity && !t.scalar.is_zero())
-        .map(|(i, _)| i)
-        .collect();
-    if live.is_empty() {
-        return identity;
-    }
-    // Exactly two live terms — the 2-GLV pair from `g1_mul`, the 2-dim GLS
-    // fallback, or a plain two-point call — take the JSF kernel instead:
-    // joint recoding needs only the tiny `{P₀, P₁, P₀ ± P₁}` table, so the
-    // per-term odd-multiples windows (and any table map) are skipped.
-    if live.len() == 2 {
-        return jsf_double_mul(ops, &terms[live[0]], &terms[live[1]]);
-    }
     // Recode every live term, reusing one limb scratch across terms.
     // Negation is handled by flipping digit signs at use, so tables are
     // always of the original point (which keeps them shareable).
     let mut scratch = WnafScratch::default();
-    let mut digit_sets: Vec<Vec<i64>> = Vec::with_capacity(live.len());
-    let mut signs: Vec<bool> = Vec::with_capacity(live.len());
-    for &i in &live {
-        let mut digits = Vec::new();
-        wnaf_digits_into(&terms[i].scalar, WNAF_WINDOW, &mut scratch, &mut digits);
-        digit_sets.push(digits);
-        signs.push(terms[i].negate);
-    }
-    // A map is usable when its source term is live and strictly earlier;
-    // otherwise the term builds a fresh table.
+    let digit_sets: Vec<Vec<i64>> = live
+        .iter()
+        .map(|&i| {
+            let mut digits = Vec::new();
+            wnaf_digits_into(&terms[i].scalar, WNAF_WINDOW, &mut scratch, &mut digits);
+            digits
+        })
+        .collect();
     let mut live_pos: Vec<Option<usize>> = vec![None; terms.len()];
     for (pos, &i) in live.iter().enumerate() {
         live_pos[i] = Some(pos);
     }
-    let map_of = |i: usize| -> TableMap<O::El> {
-        table_maps.get(i).copied().flatten().filter(|&(src, _)| {
-            assert!(src != i, "table map must not reference itself");
-            assert!(src < i, "table map source must be an earlier term");
-            live_pos[src].is_some()
-        })
+    // The live position of term `i`'s map source, when the map is usable.
+    let map_of = |i: usize| -> Option<(usize, EndoMap<O::El>)> {
+        let (src, f) = table_maps.get(i).copied().flatten()?;
+        let src_pos = live_pos.get(src).copied().flatten()?;
+        (src < i).then_some((src_pos, f))
     };
+    // Build fresh tables only, normalise them with one shared inversion,
+    // then derive mapped tables in live order (so ψ-power chains can map
+    // from mapped tables).
+    let mut fresh: Vec<Jacobian<O::El>> = Vec::new();
+    for &i in live {
+        if map_of(i).is_none() {
+            fresh.extend(odd_multiples(ops, to_jacobian(ops, &terms[i].point)));
+        }
+    }
+    let mut fresh = batch_to_affine(ops, &fresh).into_iter();
+    let mut tables: Vec<Vec<Affine<O::El>>> = Vec::with_capacity(live.len());
+    for &i in live {
+        let table = match map_of(i) {
+            Some((src_pos, f)) => tables[src_pos].iter().map(f).collect(),
+            None => fresh.by_ref().take(WNAF_TABLE).collect(),
+        };
+        tables.push(table);
+    }
     let max_len = digit_sets.iter().map(Vec::len).max().unwrap_or(0);
-    let mut acc = identity;
-    if live.len() * WNAF_TABLE >= AFFINE_TABLE_MIN_ENTRIES {
-        // Build fresh tables only, batch-normalise them with a single
-        // inversion, then derive mapped tables entry-by-entry in live
-        // order (so ψ-power chains can map from mapped tables).
-        let mut fresh: Vec<Jacobian<O::El>> = Vec::new();
-        let mut fresh_slot: Vec<Option<usize>> = vec![None; terms.len()];
-        for &i in &live {
-            if map_of(i).is_none() {
-                fresh_slot[i] = Some(fresh.len() / WNAF_TABLE);
-                fresh.extend(odd_multiples(ops, to_jacobian(ops, &terms[i].point)));
+    let mut acc = Jacobian {
+        x: ops.one(),
+        y: ops.one(),
+        z: ops.zero(),
+    };
+    for pos in (0..max_len).rev() {
+        acc = jac_double(ops, &acc);
+        for ((digits, table), &i) in digit_sets.iter().zip(&tables).zip(live) {
+            let mut d = digits.get(pos).copied().unwrap_or(0);
+            if terms[i].negate {
+                d = -d;
             }
-        }
-        let affine_fresh = batch_to_affine(ops, &fresh);
-        let mut tables: Vec<Vec<Affine<O::El>>> = Vec::with_capacity(live.len());
-        for &i in &live {
-            let table = match map_of(i) {
-                None => {
-                    // Filled by the fresh-table pass above for every
-                    // unmapped live term.
-                    let slot = fresh_slot[i].unwrap_or(0);
-                    affine_fresh[slot * WNAF_TABLE..(slot + 1) * WNAF_TABLE].to_vec()
-                }
-                Some((src, f)) => {
-                    // map_of only yields sources whose live_pos is set.
-                    let src_pos = live_pos[src].unwrap_or(0);
-                    tables[src_pos].iter().map(f.affine).collect()
-                }
-            };
-            tables.push(table);
-        }
-        for pos in (0..max_len).rev() {
-            acc = jac_double(ops, &acc);
-            for ((digits, table), &neg) in digit_sets.iter().zip(&tables).zip(&signs) {
-                let mut d = digits.get(pos).copied().unwrap_or(0);
-                if neg {
-                    d = -d;
-                }
-                if d > 0 {
-                    acc = jac_add_affine(ops, &acc, &table[(d as usize - 1) / 2]);
-                } else if d < 0 {
-                    let flip = affine_neg(ops, &table[((-d) as usize - 1) / 2]);
-                    acc = jac_add_affine(ops, &acc, &flip);
-                }
-            }
-        }
-    } else {
-        // Small term counts stay in Jacobian coordinates (no inversion);
-        // mapped tables use the endomorphism's Jacobian form.
-        let mut tables: Vec<[Jacobian<O::El>; WNAF_TABLE]> = Vec::with_capacity(live.len());
-        for &i in &live {
-            let table = match map_of(i) {
-                None => odd_multiples(ops, to_jacobian(ops, &terms[i].point)),
-                Some((src, f)) => {
-                    // map_of only yields sources whose live_pos is set.
-                    let src_pos = live_pos[src].unwrap_or(0);
-                    let src_table = &tables[src_pos];
-                    std::array::from_fn(|j| (f.jacobian)(&src_table[j]))
-                }
-            };
-            tables.push(table);
-        }
-        for pos in (0..max_len).rev() {
-            acc = jac_double(ops, &acc);
-            for ((digits, table), &neg) in digit_sets.iter().zip(&tables).zip(&signs) {
-                let mut d = digits.get(pos).copied().unwrap_or(0);
-                if neg {
-                    d = -d;
-                }
-                if d > 0 {
-                    acc = jac_add(ops, &acc, &table[(d as usize - 1) / 2]);
-                } else if d < 0 {
-                    let t = &table[((-d) as usize - 1) / 2];
-                    let flip = Jacobian {
-                        x: t.x.clone(),
-                        y: ops.neg(&t.y),
-                        z: t.z.clone(),
-                    };
-                    acc = jac_add(ops, &acc, &flip);
-                }
+            if d > 0 {
+                acc = jac_add_affine(ops, &acc, &table[(d as usize - 1) / 2]);
+            } else if d < 0 {
+                let flip = affine_neg(ops, &table[((-d) as usize - 1) / 2]);
+                acc = jac_add_affine(ops, &acc, &flip);
             }
         }
     }
@@ -989,11 +878,7 @@ fn signed_window_digit(k: &BigUint, w: usize, c: usize, carry: &mut usize) -> i6
     }
 }
 
-/// Number of points below which [`msm`] falls back to independent wNAF
-/// multiplications (bucket setup does not amortise).
-const MSM_PIPPENGER_MIN: usize = 4;
-
-/// Number of points below which [`msm`] uses the interleaved Straus
+/// Number of live terms below which [`msm`] uses the interleaved Straus
 /// kernel instead of Pippenger buckets: with `n` points and window `c`,
 /// the bucket collapse costs `~2·2^c` general additions per window, which
 /// dominates until `n` well exceeds the bucket count; the Straus kernel's
@@ -1007,18 +892,19 @@ pub const MSM_STRAUS_MAX: usize = 256;
 /// accumulation.
 pub const MSM_PARALLEL_MIN: usize = 512;
 
-/// One Pippenger shard: accumulates `chunk`'s points into a private
+/// One Pippenger shard: accumulates `chunk`'s terms into a private
 /// windows × buckets matrix (own arena, own [`AffineAddBatcher`], one
 /// shared batch inversion per conflict round) using signed
-/// 2^(c−1)-bucket digits ([`signed_window_digit`]; negative digits
-/// enqueue the negated point, interned lazily so a point whose digits
-/// are all one sign costs a single arena entry), then collapses each
-/// window with the running-sum trick. Returns the per-window sums — the
-/// doubling chain between windows is the caller's, so shard results
-/// combine with plain per-window additions.
+/// 2^(c−1)-bucket digits ([`signed_window_digit`]). A digit whose sign,
+/// after the term's own sign, is negative enqueues the negated point,
+/// interned lazily so a point whose digits are all one sign costs a
+/// single arena entry. Each window then collapses with the running-sum
+/// trick. Returns the per-window sums — the doubling chain between
+/// windows is the caller's, so shard results combine with plain
+/// per-window additions.
 fn pippenger_window_sums<O: FieldOps>(
     ops: &O,
-    chunk: &[(&Affine<O::El>, &BigUint)],
+    chunk: &[&MulTerm<O::El>],
     c: usize,
     windows: usize,
 ) -> Vec<Jacobian<O::El>> {
@@ -1026,7 +912,7 @@ fn pippenger_window_sums<O: FieldOps>(
     let inf = Affine::infinity(ops.zero());
     let mut buckets: Vec<Affine<O::El>> = vec![inf; windows * slots];
     let mut batcher = AffineAddBatcher::new(chunk.len() * windows);
-    for &(p, k) in chunk {
+    for t in chunk {
         // At most one arena entry per point per sign; the per-window
         // queue entries are 8-byte index pairs, so round scheduling
         // never moves coordinates.
@@ -1034,14 +920,17 @@ fn pippenger_window_sums<O: FieldOps>(
         let mut neg_idx: Option<u32> = None;
         let mut carry = 0usize;
         for w in 0..windows {
-            let d = signed_window_digit(k, w, c, &mut carry);
+            let mut d = signed_window_digit(&t.scalar, w, c, &mut carry);
+            if t.negate {
+                d = -d;
+            }
             if d == 0 {
                 continue;
             }
             let idx = if d > 0 {
-                *pos_idx.get_or_insert_with(|| batcher.intern(p.clone()))
+                *pos_idx.get_or_insert_with(|| batcher.intern(t.point.clone()))
             } else {
-                *neg_idx.get_or_insert_with(|| batcher.intern(affine_neg(ops, p)))
+                *neg_idx.get_or_insert_with(|| batcher.intern(affine_neg(ops, &t.point)))
             };
             batcher.enqueue(w * slots + d.unsigned_abs() as usize - 1, idx);
         }
@@ -1068,19 +957,30 @@ fn pippenger_window_sums<O: FieldOps>(
         .collect()
 }
 
-/// Multi-scalar multiplication `Σ kᵢ·Pᵢ` via Pippenger's bucket method
-/// (interleaved Straus below [`MSM_STRAUS_MAX`] points).
+/// Multi-scalar multiplication `Σᵢ ±kᵢ·Pᵢ` over a term list — the one
+/// place that picks a scalar-multiplication kernel.
 ///
-/// The window width scales with the point count; per window, each point
-/// is dropped into the signed-digit bucket of its window digit with a
-/// mixed addition (the inputs are already affine), then buckets collapse
-/// with the running-sum trick: `Σ d·B_d = Σ (suffix sums)`. Cost is
-/// roughly `bits/c · (n + 2^(c−1))` additions plus `bits` doublings,
-/// against `n · bits/5` additions plus `n · bits` doublings for
-/// independent wNAF ladders.
+/// Terms with an infinity point or a zero scalar drop out first; the
+/// live-term count then selects the kernel:
+///
+/// - 0: the identity;
+/// - 1: the [`jac_mul`] wNAF ladder (a negated term flips `y`);
+/// - 2: the JSF pair kernel (joint sparse form, [`crate::glv::jsf`]),
+///   which needs only the `{P₀, P₁, P₀ ± P₁}` table and never inverts;
+/// - 3 to [`MSM_STRAUS_MAX`]` − 1`: the interleaved Straus kernel, one
+///   shared doubling chain over affine odd-multiples tables, where
+///   `table_maps` (parallel to `terms`; missing entries mean "build
+///   fresh") lets GLV/GLS callers derive φ- and ψ-image tables from
+///   their source term's table;
+/// - otherwise: Pippenger's bucket method with batch-affine bucket
+///   accumulation. The window width scales with the term count; each
+///   term's signed window digits pick a bucket, with the term's sign
+///   folded into the digit, and the buckets collapse with the
+///   running-sum trick `Σ d·B_d = Σ (suffix sums)`. Cost is roughly
+///   `bits/c · (n + 2^(c−1))` additions plus `bits` doublings.
 ///
 /// From [`MSM_PARALLEL_MIN`] live terms the bucket pass is sharded over
-/// point-chunks across [`finesse_parallel::current_threads`] scoped
+/// term-chunks across [`finesse_parallel::current_threads`] scoped
 /// threads — each shard owns its bucket matrix and batch-affine state —
 /// and the per-window partial sums combine in a pairwise tree before one
 /// serial doubling chain. The group value is identical at every thread
@@ -1090,62 +990,37 @@ fn pippenger_window_sums<O: FieldOps>(
 /// Scalars are used as given (callers wanting reduction mod r should
 /// reduce first — the curve-level `g1_msm`/`g2_msm` do, and additionally
 /// split each scalar along the curve endomorphism before calling here).
-///
-/// # Errors
-///
-/// Returns [`CurveError::MsmLengthMismatch`] if `points` and `scalars`
-/// have different lengths — batch verifiers feed these slices from
-/// untrusted transcripts, so every MSM layer (this kernel included)
-/// reports the mismatch instead of aborting the process.
-pub fn msm<O>(
-    ops: &O,
-    points: &[Affine<O::El>],
-    scalars: &[BigUint],
-) -> Result<Jacobian<O::El>, CurveError>
+pub fn msm<O>(ops: &O, terms: &[MulTerm<O::El>], table_maps: &[TableMap<O::El>]) -> Jacobian<O::El>
 where
     O: FieldOps + Sync,
     O::El: Send + Sync,
 {
-    if points.len() != scalars.len() {
-        return Err(CurveError::MsmLengthMismatch {
-            what: "msm",
-            points: points.len(),
-            scalars: scalars.len(),
-        });
-    }
     let identity = Jacobian {
         x: ops.one(),
         y: ops.one(),
         z: ops.zero(),
     };
-    let live: Vec<(&Affine<O::El>, &BigUint)> = points
-        .iter()
-        .zip(scalars)
-        .filter(|(p, k)| !p.infinity && !k.is_zero())
+    let live: Vec<usize> = (0..terms.len())
+        .filter(|&i| !terms[i].point.infinity && !terms[i].scalar.is_zero())
         .collect();
-    if live.is_empty() {
-        return Ok(identity);
-    }
-    if live.len() < MSM_PIPPENGER_MIN {
-        let mut acc = identity;
-        for (p, k) in live {
-            acc = jac_add(ops, &acc, &jac_mul(ops, p, k));
-        }
-        return Ok(acc);
-    }
     if live.len() < MSM_STRAUS_MAX {
-        let terms: Vec<MulTerm<O::El>> = live
-            .iter()
-            .map(|(p, k)| MulTerm {
-                point: (*p).clone(),
-                scalar: (*k).clone(),
-                negate: false,
-            })
-            .collect();
-        return Ok(jac_multi_mul(ops, &terms));
+        return match *live.as_slice() {
+            [] => identity,
+            [i] => {
+                let t = &terms[i];
+                let mut acc = jac_mul(ops, &t.point, &t.scalar);
+                if t.negate {
+                    acc.y = ops.neg(&acc.y);
+                }
+                acc
+            }
+            [i, j] => jsf_double_mul(ops, &terms[i], &terms[j]),
+            _ => straus(ops, terms, &live, table_maps),
+        };
     }
+    let live: Vec<&MulTerm<O::El>> = live.iter().map(|&i| &terms[i]).collect();
     let c = pippenger_window(live.len());
-    let max_bits = live.iter().map(|(_, k)| k.bits()).max().unwrap_or(0);
+    let max_bits = live.iter().map(|t| t.scalar.bits()).max().unwrap_or(0);
     // One window past the top bit so the signed-digit carry always
     // resolves inside the matrix.
     let windows = max_bits.div_ceil(c) + 1;
@@ -1165,7 +1040,7 @@ where
     let Some(window_sums) = finesse_parallel::tree_reduce(partials, |a, b| {
         a.iter().zip(&b).map(|(x, y)| jac_add(ops, x, y)).collect()
     }) else {
-        return Ok(identity);
+        return identity;
     };
     // Serial doubling chain over the combined per-window sums.
     let mut acc = identity;
@@ -1177,7 +1052,7 @@ where
         }
         acc = jac_add(ops, &acc, &window_sums[w]);
     }
-    Ok(acc)
+    acc
 }
 
 /// One affine addition scheduled against a round's shared inversion.
@@ -1592,14 +1467,34 @@ mod tests {
         assert_eq!(to_affine(&ops, &jac_add_affine(&ops, &pj, &inf_aff)), *p);
     }
 
+    /// `Σ ±k·P` on the tiny curve by double-and-add, the oracle for
+    /// every [`msm`] kernel.
+    fn naive_terms(ops: &FpOps, terms: &[MulTerm<Fp>]) -> Affine<Fp> {
+        let mut want = Jacobian {
+            x: ops.one(),
+            y: ops.one(),
+            z: ops.zero(),
+        };
+        for t in terms {
+            let base = if t.negate {
+                affine_neg(ops, &t.point)
+            } else {
+                t.point.clone()
+            };
+            want = jac_add(ops, &want, &scalar_mul(ops, &base, &t.scalar));
+        }
+        to_affine(ops, &want)
+    }
+
     #[test]
     fn multi_mul_matches_term_sums() {
         let (ops, b) = tiny();
         let pts = points_on_tiny(&ops, &b);
-        // Terms with mixed signs, a zero scalar, and an infinity point;
-        // enough terms to trigger the batched affine-table path.
+        // Terms with mixed signs, a zero scalar, and an infinity point,
+        // covering the ladder, JSF and Straus kernels.
         let cases: Vec<Vec<(usize, u64, bool)>> = vec![
             vec![(0, 5, false)],
+            vec![(0, 5, true)],
             vec![(0, 5, false), (2, 7, true)],
             vec![(0, 3, false), (1, 0, false), (2, 9, true), (3, 11, false)],
             vec![(4, 1, true), (5, 2, false), (6, 13, true), (0, 8, false)],
@@ -1613,36 +1508,24 @@ mod tests {
                     negate: neg,
                 })
                 .collect();
-            let got = to_affine(&ops, &jac_multi_mul(&ops, &terms));
-            let mut want = Jacobian {
-                x: ops.one(),
-                y: ops.one(),
-                z: ops.zero(),
-            };
-            for &(i, k, neg) in &case {
-                let base = if neg {
-                    affine_neg(&ops, &pts[i])
-                } else {
-                    pts[i].clone()
-                };
-                want = jac_add(&ops, &want, &scalar_mul(&ops, &base, &BigUint::from_u64(k)));
-            }
-            assert_eq!(got, to_affine(&ops, &want), "case {case:?}");
+            let got = to_affine(&ops, &msm(&ops, &terms, &[]));
+            assert_eq!(got, naive_terms(&ops, &terms), "case {case:?}");
         }
         // Infinity / empty inputs.
         let inf = Affine::infinity(ops.zero());
         assert!(is_identity(
             &ops,
-            &jac_multi_mul(
+            &msm(
                 &ops,
                 &[MulTerm {
                     point: inf,
                     scalar: BigUint::from_u64(3),
                     negate: false
-                }]
+                }],
+                &[]
             )
         ));
-        assert!(is_identity(&ops, &jac_multi_mul::<FpOps>(&ops, &[])));
+        assert!(is_identity(&ops, &msm::<FpOps>(&ops, &[], &[])));
     }
 
     #[test]
@@ -1650,31 +1533,28 @@ mod tests {
         let (ops, b) = tiny();
         let pts = points_on_tiny(&ops, &b);
         for n in [0usize, 1, 2, 3, 4, 7, 12] {
-            let points: Vec<Affine<Fp>> = (0..n).map(|i| pts[i % pts.len()].clone()).collect();
-            let scalars: Vec<BigUint> = (0..n)
-                .map(|i| BigUint::from_u64((i as u64 * 7 + 3) % 61))
+            let terms: Vec<MulTerm<Fp>> = (0..n)
+                .map(|i| MulTerm {
+                    point: pts[i % pts.len()].clone(),
+                    scalar: BigUint::from_u64((i as u64 * 7 + 3) % 61),
+                    negate: false,
+                })
                 .collect();
-            let got = to_affine(&ops, &msm(&ops, &points, &scalars).unwrap());
-            let mut want = Jacobian {
-                x: ops.one(),
-                y: ops.one(),
-                z: ops.zero(),
-            };
-            for (p, k) in points.iter().zip(&scalars) {
-                want = jac_add(&ops, &want, &scalar_mul(&ops, p, k));
-            }
-            assert_eq!(got, to_affine(&ops, &want), "n = {n}");
+            let got = to_affine(&ops, &msm(&ops, &terms, &[]));
+            assert_eq!(got, naive_terms(&ops, &terms), "n = {n}");
         }
         // Zero scalars and infinity points drop out.
         let inf = Affine::infinity(ops.zero());
-        let points = vec![pts[0].clone(), inf, pts[1].clone(), pts[2].clone()];
-        let scalars = vec![
-            BigUint::from_u64(4),
-            BigUint::from_u64(9),
-            BigUint::zero(),
-            BigUint::from_u64(5),
-        ];
-        let got = to_affine(&ops, &msm(&ops, &points, &scalars).unwrap());
+        let terms: Vec<MulTerm<Fp>> = [(pts[0].clone(), 4), (inf, 9), (pts[1].clone(), 0)]
+            .into_iter()
+            .chain([(pts[2].clone(), 5)])
+            .map(|(point, k)| MulTerm {
+                point,
+                scalar: BigUint::from_u64(k),
+                negate: false,
+            })
+            .collect();
+        let got = to_affine(&ops, &msm(&ops, &terms, &[]));
         let want = jac_add(
             &ops,
             &scalar_mul(&ops, &pts[0], &BigUint::from_u64(4)),
@@ -1719,53 +1599,24 @@ mod tests {
     fn msm_pippenger_batch_affine_matches_naive() {
         let (ops, b) = tiny();
         let pts = points_on_tiny(&ops, &b);
-        // ≥ MSM_STRAUS_MAX live points forces the batch-affine Pippenger
+        // ≥ MSM_STRAUS_MAX live terms forces the batch-affine Pippenger
         // path; wrap-around duplicates and negated copies land in shared
         // buckets and exercise the batcher's doubling and cancellation
-        // scheduling edges, zero scalars its dead-entry filtering.
+        // scheduling edges, zero scalars its dead-entry filtering, and
+        // negated terms the sign folded into the bucket choice.
         let n = MSM_STRAUS_MAX + 44;
-        let points: Vec<Affine<Fp>> = (0..n)
+        let terms: Vec<MulTerm<Fp>> = (0..n)
             .map(|i| {
                 let p = pts[i % pts.len()].clone();
-                if i % 5 == 0 {
-                    affine_neg(&ops, &p)
-                } else {
-                    p
+                MulTerm {
+                    point: if i % 5 == 0 { affine_neg(&ops, &p) } else { p },
+                    scalar: BigUint::from_u64((i as u64).wrapping_mul(0x9E37_79B9) % 2048),
+                    negate: i % 3 == 0,
                 }
             })
             .collect();
-        let scalars: Vec<BigUint> = (0..n)
-            .map(|i| BigUint::from_u64((i as u64).wrapping_mul(0x9E37_79B9) % 2048))
-            .collect();
-        let got = to_affine(&ops, &msm(&ops, &points, &scalars).unwrap());
-        let mut want = Jacobian {
-            x: ops.one(),
-            y: ops.one(),
-            z: ops.zero(),
-        };
-        for (p, k) in points.iter().zip(&scalars) {
-            want = jac_add(&ops, &want, &scalar_mul(&ops, p, k));
-        }
-        assert_eq!(got, to_affine(&ops, &want));
-    }
-
-    #[test]
-    fn msm_length_mismatch_is_typed_error() {
-        let (ops, b) = tiny();
-        let pts = points_on_tiny(&ops, &b);
-        let err = msm(&ops, &pts[..2], &[BigUint::from_u64(1)]).unwrap_err();
-        match err {
-            CurveError::MsmLengthMismatch {
-                what,
-                points,
-                scalars,
-            } => {
-                assert_eq!(what, "msm");
-                assert_eq!(points, 2);
-                assert_eq!(scalars, 1);
-            }
-            other => panic!("unexpected error: {other:?}"),
-        }
+        let got = to_affine(&ops, &msm(&ops, &terms, &[]));
+        assert_eq!(got, naive_terms(&ops, &terms));
     }
 
     #[test]

@@ -34,8 +34,7 @@
 
 use crate::curve::Curve;
 use crate::point::{
-    is_identity, jac_mul, jac_multi_mul, to_jacobian, Affine, FieldOps, FpOps, FqOps, Jacobian,
-    MulTerm,
+    is_identity, jac_mul, msm, to_jacobian, Affine, FieldOps, FpOps, FqOps, Jacobian, MulTerm,
 };
 use finesse_ff::{BigInt, BigUint, Fp, Fq};
 use std::sync::Arc;
@@ -160,7 +159,7 @@ impl Curve {
                         negate: b1.is_negative(),
                     },
                 ];
-                return is_identity(&ops, &jac_multi_mul(&ops, &terms));
+                return is_identity(&ops, &msm(&ops, &terms, &[]));
             }
         }
         is_identity(&ops, &jac_mul(&ops, p, self.r()))

@@ -220,31 +220,18 @@ impl PairingEngine {
     ///
     /// Repeated G2 inputs are deduplicated: each *distinct* Q gets one
     /// prepared line schedule (served from the engine's bounded cache,
-    /// see [`PairingEngine::prepare_g2`]), and every Miller loop replays
-    /// the schedule against its P — identical Q points share all Q-side
-    /// work even without an explicit [`G2Prepared`] handle, and the
-    /// replayed loops are bit-identical to the interleaved ones.
-    ///
-    /// The Miller loops are independent, so with more than one pair and
-    /// [`finesse_parallel::current_threads`] above 1 they run on scoped
-    /// threads; the Fpk loop values are then folded **in input order**
-    /// and the single final exponentiation stays serial. Field
-    /// multiplication in Fpk is commutative and associative, so the
-    /// result is bit-identical to the serial pass at any thread count.
+    /// see [`PairingEngine::prepare_g2`]), and
+    /// [`PairingEngine::multi_pair_prepared`] replays the schedule against
+    /// each P — identical Q points share all Q-side work even without an
+    /// explicit [`G2Prepared`] handle, and the replayed loops are
+    /// bit-identical to the interleaved ones.
     pub fn multi_pair(&self, pairs: &[(Affine<Fp>, Affine<Fq>)]) -> Fpk {
-        let tower = self.curve.tower();
-        let live: Vec<&(Affine<Fp>, Affine<Fq>)> = pairs
+        // Dedupe the Q sides serially up front, so the cache lock never
+        // crosses into the parallel region.
+        let mut distinct: Vec<(&Affine<Fq>, Arc<G2Prepared>)> = Vec::new();
+        let prepared: Vec<(Affine<Fp>, Arc<G2Prepared>)> = pairs
             .iter()
             .filter(|(p, q)| !p.infinity && !q.infinity)
-            .collect();
-        if live.is_empty() {
-            return tower.fpk_one();
-        }
-        // Dedupe the Q sides serially up front (the cache lock never
-        // crosses into the parallel region), then replay per pair.
-        let mut distinct: Vec<(&Affine<Fq>, Arc<G2Prepared>)> = Vec::new();
-        let tasks: Vec<(&Affine<Fp>, Arc<G2Prepared>)> = live
-            .iter()
             .map(|(p, q)| {
                 let prep = match distinct.iter().find(|(seen, _)| *seen == q) {
                     Some((_, prep)) => Arc::clone(prep),
@@ -254,39 +241,24 @@ impl PairingEngine {
                         prep
                     }
                 };
-                (p, prep)
+                (p.clone(), prep)
             })
             .collect();
-        // One Miller loop per chunk element; chunks of one pair keep the
-        // schedule maximally balanced (a Miller loop is ~ms-scale, far
-        // above spawn cost).
-        let partials = finesse_parallel::par_map_chunks(&tasks, 1, |chunk| {
-            let mut acc: Option<Fpk> = None;
-            for (p, prep) in chunk {
-                let m = self.miller_loop_prepared(p, prep);
-                acc = Some(match acc {
-                    Some(a) => tower.fpk_mul(&a, &m),
-                    None => m,
-                });
-            }
-            // par_map_chunks never passes an empty chunk; the GT
-            // identity is the neutral fold value regardless.
-            acc.unwrap_or_else(|| tower.fpk_one())
-        });
-        let product = partials
-            .into_iter()
-            .reduce(|a, b| tower.fpk_mul(&a, &b))
-            // The live set is non-empty here, so there is at least one
-            // partial; the identity keeps the fold total.
-            .unwrap_or_else(|| tower.fpk_one());
-        self.final_exponentiation(&product)
+        self.multi_pair_prepared(&prepared)
     }
 
     /// [`PairingEngine::multi_pair`] over caller-held prepared points —
     /// the deferred-accumulator hot path, where the Q-side schedules are
     /// already in hand and only the replay loops remain. Identity inputs
-    /// (either side) contribute the GT identity; thread-count
-    /// determinism matches `multi_pair`.
+    /// (either side) contribute the GT identity. This is the one
+    /// multi-pairing fold: `multi_pair` prepares its Q sides and calls it.
+    ///
+    /// The Miller loops are independent, so with more than one pair and
+    /// [`finesse_parallel::current_threads`] above 1 they run on scoped
+    /// threads; the Fpk loop values are then folded **in input order**
+    /// and the single final exponentiation stays serial. Field
+    /// multiplication in Fpk is commutative and associative, so the
+    /// result is bit-identical to the serial pass at any thread count.
     pub fn multi_pair_prepared(&self, pairs: &[(Affine<Fp>, Arc<G2Prepared>)]) -> Fpk {
         let tower = self.curve.tower();
         let live: Vec<(&Affine<Fp>, &Arc<G2Prepared>)> = pairs
@@ -297,6 +269,9 @@ impl PairingEngine {
         if live.is_empty() {
             return tower.fpk_one();
         }
+        // One Miller loop per chunk element; chunks of one pair keep the
+        // schedule maximally balanced (a Miller loop is ~ms-scale, far
+        // above spawn cost).
         let partials = finesse_parallel::par_map_chunks(&live, 1, |chunk| {
             let mut acc: Option<Fpk> = None;
             for (p, prep) in chunk {

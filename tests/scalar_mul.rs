@@ -303,3 +303,102 @@ fn msm_length_mismatch_is_reported_not_fatal() {
         .unwrap_err();
     assert!(err.to_string().contains("g2_msm"), "display names the API");
 }
+
+/// `n` distinct G1 points `G, 2G, …, nG` by a `g1_add` chain.
+fn g1_chain(c: &Arc<Curve>, n: usize) -> Vec<finesse_curves::Affine<finesse_ff::Fp>> {
+    let g = c.g1_generator();
+    let mut out: Vec<finesse_curves::Affine<finesse_ff::Fp>> = Vec::with_capacity(n);
+    for i in 0..n {
+        let next = match i {
+            0 => g.clone(),
+            _ => c.g1_add(&out[i - 1], g),
+        };
+        out.push(next);
+    }
+    out
+}
+
+#[test]
+fn g1_msm_short_groups_match_naive_sums_at_every_kernel_boundary() {
+    // Group sizes straddle the kernel switch: identity, ladder, JSF pair,
+    // Straus (3 and 255 live terms) and Pippenger (256). The 4-point
+    // group carries a zero scalar and an identity point, so only two of
+    // its terms are live; the last group holds one full-width scalar,
+    // which sends it down the reduce-and-split path.
+    for name in ["BN254N", "BLS12-381"] {
+        let c = Curve::by_name(name);
+        let pool = g1_chain(&c, 256);
+        let mut short = scalar_stream(0x5407 ^ c.r().low_u64(), 128);
+        let mut groups: Vec<_> = [0usize, 1, 2, 3, 4, 255, 256]
+            .into_iter()
+            .map(|n| {
+                let points = pool[..n].to_vec();
+                let scalars: Vec<BigUint> = (0..n).map(|_| short()).collect();
+                (points, scalars)
+            })
+            .collect();
+        groups[4].0[1] = finesse_curves::Affine::infinity(c.fp().zero());
+        groups[4].1[2] = BigUint::zero();
+        let mut wide = scalar_stream(0x3A3A, c.r().bits());
+        groups.push((pool[..3].to_vec(), vec![short(), wide(), short()]));
+        let got = c.g1_msm_short_groups(&groups).unwrap();
+        assert_eq!(got.len(), groups.len());
+        for ((points, scalars), aggregate) in groups.iter().zip(&got) {
+            assert_eq!(
+                *aggregate,
+                naive_g1_msm(&c, points, scalars),
+                "{name}: group of {}",
+                points.len()
+            );
+            assert_eq!(
+                c.g1_msm_short(points, scalars).unwrap(),
+                *aggregate,
+                "{name}: ungrouped call, group of {}",
+                points.len()
+            );
+        }
+        groups[2].1.pop();
+        let err = c.g1_msm_short_groups(&groups).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                finesse_curves::CurveError::MsmLengthMismatch {
+                    what: "g1_msm_short",
+                    points: 2,
+                    scalars: 1,
+                }
+            ),
+            "{name}: unexpected error: {err}"
+        );
+    }
+}
+
+#[test]
+fn g2_msm_matches_naive_sum_on_the_bucket_path() {
+    // Enough points that the GLS split feeds at least MSM_STRAUS_MAX live
+    // terms to the kernel, so the sum runs through Pippenger's buckets.
+    for (name, n) in [("BLS12-381", 65usize), ("BLS24-509", 33)] {
+        let c = Curve::by_name(name);
+        let q = c.g2_generator();
+        let mut points: Vec<finesse_curves::Affine<finesse_ff::Fq>> = vec![q.clone()];
+        while points.len() < n {
+            let next = c.g2_add(&points[points.len() - 1], q);
+            points.push(next);
+        }
+        let mut stream = scalar_stream(0x6B0C ^ n as u64, c.r().bits());
+        let scalars: Vec<BigUint> = (0..n).map(|_| stream().rem(c.r())).collect();
+        let live_terms: usize = scalars
+            .iter()
+            .map(|k| c.g2_gls_digits(k).iter().filter(|d| !d.is_zero()).count())
+            .sum();
+        assert!(
+            live_terms >= finesse_curves::point::MSM_STRAUS_MAX,
+            "{name}: {live_terms} split terms"
+        );
+        let mut want = finesse_curves::Affine::infinity(c.tower().fq_zero());
+        for (p, k) in points.iter().zip(&scalars) {
+            want = c.g2_add(&want, &c.g2_mul(p, k));
+        }
+        assert_eq!(c.g2_msm(&points, &scalars).unwrap(), want, "{name}");
+    }
+}
