@@ -285,7 +285,7 @@ struct Gate {
 /// used as the fallback when the committed file is missing or predates
 /// the manifest. `--bench-regress` itself always prefers the *committed*
 /// `results/BENCH_fieldops.json`, so re-baselining is a one-file edit.
-const DEFAULT_GATES: [(&str, &str, f64, f64); 16] = [
+const DEFAULT_GATES: [(&str, &str, f64, f64); 18] = [
     // The historical PR 2 floor contract on the deepest tower.
     ("fq_mul", "BLS24-509", 2800.5, 10.0),
     // Variable-base GLV/JSF path vs the committed PR 4 median.
@@ -310,6 +310,10 @@ const DEFAULT_GATES: [(&str, &str, f64, f64); 16] = [
     // settled through the accumulator in two prepared Miller loops.
     ("kzg_verify_batch_8", "BN254N", 5_753_566.0, 30.0),
     ("kzg_verify_batch_8", "BLS12-381", 8_993_052.0, 30.0),
+    // The KZG prover: one batched opening of a 256-coefficient
+    // polynomial at 8 points, F_r arithmetic on the Montgomery kernel.
+    ("kzg_open_batch_8", "BN254N", 15_522_961.0, 30.0),
+    ("kzg_open_batch_8", "BLS12-381", 20_142_016.0, 30.0),
     // Strict compressed G2 decode: the norm-method F_q square root plus
     // the GLS subgroup check.
     ("decode_g2", "BN254N", 618_178.0, 30.0),

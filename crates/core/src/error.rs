@@ -133,6 +133,9 @@ pub enum PolyError {
     /// Two evaluation points of a batched opening coincide (the
     /// interpolation denominators vanish).
     DuplicatePoint,
+    /// The polynomial's coefficients are not in the SRS curve's scalar
+    /// field F_r.
+    FieldMismatch,
     /// A claimed opening failed its pairing check.
     OpeningRejected,
     /// One or more claims in a batch failed; `bad` lists their indices
@@ -161,6 +164,9 @@ impl fmt::Display for PolyError {
             }
             PolyError::NoPoints => write!(f, "batched opening needs at least one point"),
             PolyError::DuplicatePoint => write!(f, "duplicate evaluation point in batch"),
+            PolyError::FieldMismatch => {
+                write!(f, "polynomial is not over the SRS curve's scalar field")
+            }
             PolyError::OpeningRejected => write!(f, "opening failed its pairing check"),
             PolyError::BatchRejected { bad } => {
                 write!(f, "batch rejected; failing claims: {bad:?}")

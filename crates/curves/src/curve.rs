@@ -18,7 +18,7 @@ use crate::point::{
 use crate::precompute::{G1Precomputed, G2Precomputed, Precomputed};
 use crate::spec::{CurveSpec, Family};
 use crate::wire::{fp_sign, fq_sign};
-use finesse_ff::{BigInt, BigUint, FieldCtxError, Fp, FpCtx, Fq, TowerCtx, TowerError};
+use finesse_ff::{BigInt, BigUint, FieldCtxError, Fp, FpCtx, Fq, TowerCtx, TowerError, MAX_LIMBS};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
@@ -220,6 +220,7 @@ pub struct Curve {
     r: BigUint,
     trace: BigInt,
     fp: Arc<FpCtx>,
+    fr: Arc<FpCtx>,
     tower: Arc<TowerCtx>,
     b: Fp,
     b_twist: Fq,
@@ -340,7 +341,8 @@ impl Curve {
         }
 
         // --- fields -----------------------------------------------------
-        let fp = FpCtx::new(p.clone())?;
+        let fp = Self::verified_field(&p)?;
+        let fr = Self::verified_field(&r)?;
         let beta_fp = fp.from_i64(beta);
         let tower = match family.embedding_degree() {
             12 => {
@@ -410,7 +412,7 @@ impl Curve {
         // without a usable φ (or a failed calibration) falls back to the
         // plain wNAF ladder rather than erroring, so the operator kit
         // still accepts exotic parameters.
-        let glv_g1 = Self::derive_glv_g1(&fp, &fp_ops, &g1, &r);
+        let glv_g1 = Self::derive_glv_g1(&fp, &fr, &fp_ops, &g1);
         let gls_g2 = Self::derive_gls_g2(&t, &p, &r);
 
         Ok(Curve {
@@ -421,6 +423,7 @@ impl Curve {
             r,
             trace,
             fp,
+            fr,
             tower,
             b,
             b_twist,
@@ -443,29 +446,36 @@ impl Curve {
         })
     }
 
-    /// `(−1 + √−3)/2 mod m`: a primitive cube root of unity mod `m`
-    /// (exists iff `m ≡ 1 (mod 3)`), i.e. a root of `x² + x + 1`.
-    fn cube_root_of_unity(m: &BigUint) -> Option<BigUint> {
-        let ctx = FpCtx::new(m.clone()).ok()?;
-        let s = ctx.from_i64(-3).sqrt()?.to_biguint();
-        let m_minus_1 = m.checked_sub(&BigUint::one())?;
-        let num = (&s + &m_minus_1).rem(m);
-        let half = if num.is_even() {
-            num.shr(1)
-        } else {
-            (&num + m).shr(1)
-        };
-        Some(half.rem(m))
+    /// The field context of a modulus already verified prime above,
+    /// interned without repeating the primality test; the remaining
+    /// [`FpCtx::new`] checks become errors, not panics.
+    fn verified_field(m: &BigUint) -> Result<Arc<FpCtx>, CurveError> {
+        if m.is_even() {
+            return Err(CurveError::Field(FieldCtxError::InvalidModulus));
+        }
+        if m.limbs().len() > MAX_LIMBS {
+            return Err(CurveError::Field(FieldCtxError::TooWide));
+        }
+        Ok(FpCtx::new_unchecked(m.clone()))
+    }
+
+    /// `(−1 + √−3)/2`: a primitive cube root of unity in the field
+    /// (exists iff its modulus is `≡ 1 (mod 3)`), i.e. a root of
+    /// `x² + x + 1`.
+    fn cube_root_of_unity(field: &FpCtx) -> Option<Fp> {
+        let s = field.from_i64(-3).sqrt()?;
+        Some((&s - &field.one()).halve())
     }
 
     /// Derives and calibrates the 2-GLV data for G1: solves
     /// `λ² + λ + 1 ≡ 0 (mod r)` and `β² + β + 1 ≡ 0 (mod p)`, then pins
     /// down the matching (β, λ) pair empirically via `φ(G) = [λ]G`.
-    fn derive_glv_g1(fp: &Arc<FpCtx>, ops: &FpOps, g1: &Affine<Fp>, r: &BigUint) -> Option<GlvG1> {
-        let lambda0 = Self::cube_root_of_unity(r)?;
+    fn derive_glv_g1(fp: &FpCtx, fr: &FpCtx, ops: &FpOps, g1: &Affine<Fp>) -> Option<GlvG1> {
+        let r = fr.modulus();
+        let lambda0 = Self::cube_root_of_unity(fr)?.to_biguint();
         // lambda0 is a residue mod r, so r - 1 - lambda0 cannot underflow.
         let lambda1 = r.checked_sub(&BigUint::one())?.checked_sub(&lambda0)?;
-        let beta0 = fp.from_biguint(&Self::cube_root_of_unity(fp.modulus())?);
+        let beta0 = Self::cube_root_of_unity(fp)?;
         // The other root: β² = −1 − β.
         let beta1 = -&(&beta0 + &fp.one());
         let lg: [Affine<Fp>; 2] = [
@@ -758,6 +768,12 @@ impl Curve {
     /// Base prime field context.
     pub fn fp(&self) -> &Arc<FpCtx> {
         &self.fp
+    }
+
+    /// Scalar field context F_r, interned once at construction: the
+    /// field polynomial commitments compute in.
+    pub fn fr(&self) -> &Arc<FpCtx> {
+        &self.fr
     }
 
     /// Extension tower context.

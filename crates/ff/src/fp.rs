@@ -36,10 +36,14 @@
 //! [`crate::BigUint`] remains the representation for everything *outside*
 //! the field hot path: curve-parameter synthesis (evaluating family
 //! polynomials), exponent bookkeeping (final-exponentiation chains, NAF
-//! recoding), primality testing, and moduli wider than [`MAX_LIMBS`]
-//! limbs (e.g. `BigUint::modpow` over p^k-sized integers). Converting
-//! between the two costs one Montgomery multiplication and should never
-//! appear inside a loop.
+//! recoding), primality testing, scalars at API boundaries (group-layer
+//! scalar multiplication, wire-level claims), and moduli wider than
+//! [`MAX_LIMBS`] limbs (e.g. `BigUint::modpow` over p^k-sized integers).
+//! Arithmetic *in* a scalar field F_r is field arithmetic like any other:
+//! polynomial commitments run it on an `Fp` over r, and the
+//! [`crate::scalar`] helpers are kept only as a `BigUint` oracle.
+//! Converting between the two costs one Montgomery multiplication: do it
+//! once at a boundary, never inside an arithmetic loop.
 
 use crate::limbs::{
     adc, add_assign_slices, cmp_slices, mac, mont_neg_inv, sub_assign_slices, Limbs, MAX_LIMBS,

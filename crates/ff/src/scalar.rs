@@ -1,17 +1,14 @@
-//! Modular arithmetic helpers on [`BigUint`] scalars.
+//! Modular arithmetic oracles on [`BigUint`] scalars.
 //!
-//! The group layers work with scalars as plain [`BigUint`]s reduced mod
-//! a prime group order r — they never need a Montgomery context, but the
-//! polynomial layers above (KZG quotients, Lagrange interpolation) need
-//! ring arithmetic and inversion in F_r. This module provides exactly
-//! that surface: total `mod_*` ring operations, Fermat inversion, and a
-//! Montgomery-trick [`batch_mod_inv`] that amortises n inversions into
-//! one `modpow` plus `3(n−1)` multiplications — the same batching idea
-//! the point layer uses in `batch_to_affine`.
+//! Scalar-field arithmetic runs on [`crate::Fp`] over the group order r
+//! (a curve's `fr()` context); these two helpers are what remains on
+//! `BigUint`: the independent reference that tests and the end-to-end
+//! benchmark check polynomial evaluations against (Horner's rule), and
+//! boundary arithmetic on caller-held scalars. Each ends in
+//! `BigUint::rem`, a bitwise long division, so neither belongs in a loop
+//! that [`crate::Fp`] can run.
 //!
-//! All functions expect `modulus ≥ 2`; the inversion helpers further
-//! assume the modulus is *prime* (they use Fermat's little theorem), as
-//! every group order in this workspace is.
+//! Both expect `modulus ≥ 1`.
 
 use crate::biguint::BigUint;
 
@@ -20,139 +17,24 @@ pub fn mod_add(a: &BigUint, b: &BigUint, m: &BigUint) -> BigUint {
     (a + b).rem(m)
 }
 
-/// `(a − b) mod m` (wrapping into `[0, m)`). Inputs need not be
-/// pre-reduced.
-pub fn mod_sub(a: &BigUint, b: &BigUint, m: &BigUint) -> BigUint {
-    let a = a.rem(m);
-    let b = b.rem(m);
-    match a.checked_sub(&b) {
-        Some(d) => d,
-        // a < b < m, so a + m - b stays positive and below m.
-        None => (&(&a + m) - &b).rem(m),
-    }
-}
-
 /// `(a · b) mod m`.
 pub fn mod_mul(a: &BigUint, b: &BigUint, m: &BigUint) -> BigUint {
     (a * b).rem(m)
-}
-
-/// `−a mod m` (zero maps to zero).
-pub fn mod_neg(a: &BigUint, m: &BigUint) -> BigUint {
-    mod_sub(&BigUint::zero(), a, m)
-}
-
-/// `a⁻¹ mod m` for *prime* m, via Fermat (`a^(m−2)`), or `None` when
-/// `a ≡ 0 (mod m)` (zero has no inverse).
-pub fn mod_inv(a: &BigUint, m: &BigUint) -> Option<BigUint> {
-    let a = a.rem(m);
-    if a.is_zero() {
-        return None;
-    }
-    let e = m.checked_sub(&BigUint::from_u64(2))?;
-    Some(a.modpow(&e, m))
-}
-
-/// Inverts every element of `xs` mod a *prime* m with Montgomery's
-/// batch trick: one prefix-product pass, a single [`mod_inv`], and one
-/// unwinding pass — `3(n−1)` multiplications and one `modpow` total.
-///
-/// Returns `None` if any element is `≡ 0 (mod m)` (nothing is modified
-/// in that case — partial batches would be a footgun for callers
-/// reconstructing interpolation denominators).
-pub fn batch_mod_inv(xs: &mut [BigUint], m: &BigUint) -> Option<()> {
-    if xs.is_empty() {
-        return Some(());
-    }
-    // prefix[i] = x₀·…·xᵢ mod m.
-    let mut prefix = Vec::with_capacity(xs.len());
-    let mut acc = BigUint::one();
-    for x in xs.iter() {
-        let x = x.rem(m);
-        if x.is_zero() {
-            return None;
-        }
-        acc = mod_mul(&acc, &x, m);
-        prefix.push(acc.clone());
-    }
-    // One inversion of the full product, then peel one factor per step:
-    // inv(x₀·…·xᵢ)·(x₀·…·xᵢ₋₁) = xᵢ⁻¹.
-    let mut inv_all = mod_inv(&acc, m)?;
-    for i in (1..xs.len()).rev() {
-        let xi_inv = mod_mul(&inv_all, &prefix[i - 1], m);
-        inv_all = mod_mul(&inv_all, &xs[i].rem(m), m);
-        xs[i] = xi_inv;
-    }
-    xs[0] = inv_all;
-    Some(())
-}
-
-/// Horner evaluation of a little-endian coefficient slice at `x`,
-/// mod m: `c₀ + c₁x + c₂x² + …`.
-pub fn horner_eval(coeffs: &[BigUint], x: &BigUint, m: &BigUint) -> BigUint {
-    let mut acc = BigUint::zero();
-    for c in coeffs.iter().rev() {
-        acc = mod_add(&mod_mul(&acc, x, m), c, m);
-    }
-    acc
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn r() -> BigUint {
-        // A prime large enough to exercise multi-limb paths.
-        BigUint::from_hex("ffffffff00000001").unwrap()
-    }
-
     #[test]
     fn ring_ops_wrap_into_range() {
-        let m = r();
+        // The prime 2⁶⁴ − 2³² + 1.
+        let m = BigUint::from_hex("ffffffff00000001").unwrap();
         let a = BigUint::from_u64(5);
         let b = &m.checked_sub(&BigUint::one()).unwrap() + &BigUint::from_u64(7); // m + 6
         assert_eq!(mod_add(&a, &b, &m), BigUint::from_u64(11));
-        assert_eq!(mod_sub(&a, &b, &m), m.checked_sub(&BigUint::one()).unwrap());
         assert_eq!(mod_mul(&a, &b, &m), BigUint::from_u64(30));
-        assert_eq!(mod_neg(&BigUint::zero(), &m), BigUint::zero());
-        assert_eq!(mod_add(&mod_neg(&a, &m), &a, &m), BigUint::zero());
-    }
-
-    #[test]
-    fn fermat_inverse_round_trips() {
-        let m = r();
-        for k in [1u64, 2, 3, 0xDEAD_BEEF, u64::MAX - 4] {
-            let a = BigUint::from_u64(k).rem(&m);
-            let inv = mod_inv(&a, &m).expect("nonzero inverts");
-            assert_eq!(mod_mul(&a, &inv, &m), BigUint::one(), "k = {k}");
-        }
-        assert!(mod_inv(&BigUint::zero(), &m).is_none());
-        assert!(mod_inv(&m, &m).is_none(), "m ≡ 0 has no inverse");
-    }
-
-    #[test]
-    fn batch_inversion_matches_singles() {
-        let m = r();
-        let mut xs: Vec<BigUint> = (1u64..=17).map(BigUint::from_u64).collect();
-        let singles: Vec<BigUint> = xs.iter().map(|x| mod_inv(x, &m).unwrap()).collect();
-        batch_mod_inv(&mut xs, &m).expect("no zeros");
-        assert_eq!(xs, singles);
-
-        // A zero anywhere aborts without touching the slice.
-        let mut with_zero = vec![BigUint::from_u64(3), m.clone(), BigUint::from_u64(5)];
-        let before = with_zero.clone();
-        assert!(batch_mod_inv(&mut with_zero, &m).is_none());
-        assert_eq!(with_zero, before);
-        assert!(batch_mod_inv(&mut [], &m).is_some(), "empty batch is fine");
-    }
-
-    #[test]
-    fn horner_matches_direct_evaluation() {
-        let m = BigUint::from_u64(1_000_003);
-        // 7 + 3x + 5x² + x³ at x = 11: 7 + 33 + 605 + 1331 = 1976.
-        let coeffs: Vec<BigUint> = [7u64, 3, 5, 1].map(BigUint::from_u64).to_vec();
-        let got = horner_eval(&coeffs, &BigUint::from_u64(11), &m);
-        assert_eq!(got, BigUint::from_u64(1976));
-        assert!(horner_eval(&[], &BigUint::from_u64(9), &m).is_zero());
+        let minus_a = m.checked_sub(&a).unwrap();
+        assert!(mod_add(&minus_a, &a, &m).is_zero());
     }
 }

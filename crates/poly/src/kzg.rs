@@ -25,8 +25,7 @@
 use crate::polynomial::Polynomial;
 use crate::srs::Srs;
 use finesse_core::PolyError;
-use finesse_curves::{affine_neg, Affine, FieldOps, FpOps};
-use finesse_ff::scalar::{mod_mul, mod_sub};
+use finesse_curves::{affine_neg, Affine, Curve, FieldOps, FpOps};
 use finesse_ff::{BigUint, Fp};
 use finesse_pairing::{PairingAccumulator, PairingEngine, SplitMix64Transcript, Transcript};
 use std::sync::Arc;
@@ -128,14 +127,26 @@ impl<'a> Kzg<'a> {
         self.srs
     }
 
+    /// Rejects a polynomial over another scalar field than the SRS
+    /// curve's F_r (its elements would not mix with this curve's).
+    fn check_field(&self, poly: &Polynomial) -> Result<(), PolyError> {
+        if Arc::ptr_eq(poly.field(), self.srs.curve().fr()) {
+            Ok(())
+        } else {
+            Err(PolyError::FieldMismatch)
+        }
+    }
+
     /// Commits: `C = [p(τ)]G1`, one MSM over the SRS powers. The zero
     /// polynomial commits to the identity.
     ///
     /// # Errors
     ///
-    /// [`PolyError::DegreeTooLarge`] when the polynomial has more
-    /// coefficients than the SRS has powers.
+    /// [`PolyError::FieldMismatch`] when the polynomial is not over the
+    /// SRS curve's F_r, and [`PolyError::DegreeTooLarge`] when it has
+    /// more coefficients than the SRS has powers.
     pub fn commit(&self, poly: &Polynomial) -> Result<Affine<Fp>, PolyError> {
+        self.check_field(poly)?;
         let coeffs = poly.coeffs();
         let powers = self.srs.powers_g1();
         if coeffs.len() > powers.len() {
@@ -148,23 +159,29 @@ impl<'a> Kzg<'a> {
             let ops = FpOps(Arc::clone(self.srs.curve().fp()));
             return Ok(Affine::infinity(ops.zero()));
         }
-        Ok(self.srs.curve().g1_msm(&powers[..coeffs.len()], coeffs)?)
+        let scalars: Vec<BigUint> = coeffs.iter().map(Fp::to_biguint).collect();
+        Ok(self.srs.curve().g1_msm(&powers[..coeffs.len()], &scalars)?)
     }
 
-    /// Opens `poly` at `z`: evaluates, divides off the root, and
-    /// commits the quotient.
+    /// Opens `poly` at `z` with one synthetic division by `X − z`: the
+    /// remainder is `y = p(z)` and the quotient is `(p − y)/(X − z)`,
+    /// whose commitment is the witness.
     ///
     /// # Errors
     ///
-    /// [`PolyError::DegreeTooLarge`] when `poly` exceeds the SRS.
+    /// [`PolyError::FieldMismatch`] when `poly` is not over the SRS
+    /// curve's F_r, and [`PolyError::DegreeTooLarge`] when it exceeds the
+    /// SRS.
     pub fn open(&self, poly: &Polynomial, z: &BigUint) -> Result<Opening, PolyError> {
-        let r = self.srs.curve().r();
-        let z = z.rem(r);
-        let y = poly.eval(&z, r);
-        let (q, rem) = poly.sub_constant(&y, r).divide_by_linear(&z, r);
-        debug_assert!(rem.is_zero(), "p − p(z) always divides by X − z");
+        self.check_field(poly)?;
+        let z = poly.field().from_biguint(z);
+        let (q, y) = poly.divide_by_linear(&z);
         let witness = self.commit(&q)?;
-        Ok(Opening { z, y, witness })
+        Ok(Opening {
+            z: z.to_biguint(),
+            y: y.to_biguint(),
+            witness,
+        })
     }
 
     /// Opens `poly` at every point of `zs` with one two-point proof
@@ -174,7 +191,8 @@ impl<'a> Kzg<'a> {
     ///
     /// # Errors
     ///
-    /// [`PolyError::NoPoints`] for an empty point set,
+    /// [`PolyError::FieldMismatch`] when `poly` is not over the SRS
+    /// curve's F_r, [`PolyError::NoPoints`] for an empty point set,
     /// [`PolyError::DuplicatePoint`] when two points coincide mod r,
     /// and [`PolyError::DegreeTooLarge`] when `poly` exceeds the SRS.
     pub fn open_batch(
@@ -183,45 +201,45 @@ impl<'a> Kzg<'a> {
         commitment: &Affine<Fp>,
         zs: &[BigUint],
     ) -> Result<BatchOpening, PolyError> {
-        let curve = self.srs.curve();
-        let r = curve.r();
-        if zs.is_empty() {
-            return Err(PolyError::NoPoints);
-        }
-        let points: Vec<(BigUint, BigUint)> = zs
+        self.check_field(poly)?;
+        let fr = poly.field();
+        let points: Vec<(Fp, Fp)> = zs
             .iter()
             .map(|z| {
-                let z = z.rem(r);
-                let y = poly.eval(&z, r);
+                let z = fr.from_biguint(z);
+                let y = poly.eval(&z);
                 (z, y)
             })
             .collect();
-        // Interpolation rejects coincident points (vanishing
-        // denominators) — the same duplicate check the verifier runs.
-        let r_poly = Polynomial::interpolate(&points, r)?;
+        // Interpolation rejects empty and coincident point sets — the
+        // same checks the verifier runs.
+        let r_poly = Polynomial::interpolate(&points)?;
 
         // h = (f − r)/Z, divided off one root at a time (each division
         // is exact: f − r vanishes on all of S).
-        let mut h = poly.sub_scaled(&r_poly, &BigUint::one(), r);
+        let mut h = poly.sub_scaled(&r_poly, &fr.one());
         for (z, _) in &points {
-            let (q, rem) = h.divide_by_linear(z, r);
+            let (q, rem) = h.divide_by_linear(z);
             debug_assert!(rem.is_zero(), "f − r vanishes on the point set");
             h = q;
         }
         let quotient = self.commit(&h)?;
 
-        let z_star = draw_z_star(curve.name(), r, commitment, &points, &quotient);
-        let r_at = r_poly.eval(&z_star, r);
-        let z_at = vanishing_at(&points, &z_star, r);
+        let z_star = draw_z_star(self.srs.curve(), commitment, &points, &quotient);
+        let r_at = r_poly.eval(&z_star);
+        let z_at = vanishing_at(&points, &z_star);
         // L = f − r(z*) − Z(z*)·h vanishes at z*; its shifted quotient
         // is the second proof point.
-        let l = poly.sub_constant(&r_at, r).sub_scaled(&h, &z_at, r);
-        let (l_q, rem) = l.divide_by_linear(&z_star, r);
+        let l = poly.sub_constant(&r_at).sub_scaled(&h, &z_at);
+        let (l_q, rem) = l.divide_by_linear(&z_star);
         debug_assert!(rem.is_zero(), "L(z*) = 0 by construction");
         let shift = self.commit(&l_q)?;
 
         Ok(BatchOpening {
-            points,
+            points: points
+                .iter()
+                .map(|(z, y)| (z.to_biguint(), y.to_biguint()))
+                .collect(),
             quotient,
             shift,
         })
@@ -244,7 +262,6 @@ impl<'a> Kzg<'a> {
         claim: &Claim,
     ) -> Result<(), PolyError> {
         let curve = self.srs.curve();
-        let r = curve.r();
         let ops = FpOps(Arc::clone(curve.fp()));
         let g1 = curve.g1_generator();
         match claim {
@@ -267,17 +284,18 @@ impl<'a> Kzg<'a> {
                 commitment,
                 opening,
             } => {
-                let points: Vec<(BigUint, BigUint)> = opening
+                let fr = curve.fr();
+                let points: Vec<(Fp, Fp)> = opening
                     .points
                     .iter()
-                    .map(|(z, y)| (z.rem(r), y.rem(r)))
+                    .map(|(z, y)| (fr.from_biguint(z), fr.from_biguint(y)))
                     .collect();
                 // Re-derives z* and rejects empty/duplicated point sets
                 // before anything touches the accumulator.
-                let r_poly = Polynomial::interpolate(&points, r)?;
-                let z_star = draw_z_star(curve.name(), r, commitment, &points, &opening.quotient);
-                let r_at = r_poly.eval(&z_star, r);
-                let z_at = vanishing_at(&points, &z_star, r);
+                let r_poly = Polynomial::interpolate(&points)?;
+                let z_star = draw_z_star(curve, commitment, &points, &opening.quotient);
+                let r_at = r_poly.eval(&z_star).to_biguint();
+                let z_at = vanishing_at(&points, &z_star).to_biguint();
                 // F = C − [r(z*)]G1 − [Z(z*)]W, then
                 // e(F + [z*]W′, G2) =? e(W′, [τ]G2).
                 let r_g1 = curve.g1_mul(g1, &r_at);
@@ -286,7 +304,7 @@ impl<'a> Kzg<'a> {
                     &curve.g1_add(commitment, &affine_neg(&ops, &r_g1)),
                     &affine_neg(&ops, &z_w),
                 );
-                let lhs = curve.g1_add(&f, &curve.g1_mul(&opening.shift, &z_star));
+                let lhs = curve.g1_add(&f, &curve.g1_mul(&opening.shift, &z_star.to_biguint()));
                 acc.push_check(
                     &lhs,
                     curve.g2_generator(),
@@ -359,32 +377,32 @@ impl<'a> Kzg<'a> {
 /// redrawn on the (negligible) event it lands in the point set, so the
 /// shifted witness's divisor never collides with an opened point.
 fn draw_z_star(
-    curve_name: &str,
-    r: &BigUint,
+    curve: &Curve,
     commitment: &Affine<Fp>,
-    points: &[(BigUint, BigUint)],
+    points: &[(Fp, Fp)],
     quotient: &Affine<Fp>,
-) -> BigUint {
+) -> Fp {
     let mut t = SplitMix64Transcript::new(OPEN_LABEL);
-    t.absorb_bytes(curve_name.as_bytes());
+    t.absorb_bytes(curve.name().as_bytes());
     t.absorb_g1(commitment);
     for (z, y) in points {
-        t.absorb_scalar(z);
-        t.absorb_scalar(y);
+        t.absorb_scalar(&z.to_biguint());
+        t.absorb_scalar(&y.to_biguint());
     }
     t.absorb_g1(quotient);
-    let mut z_star = t.challenge_scalar(r);
+    let mut draw = || curve.fr().from_biguint(&t.challenge_scalar(curve.r()));
+    let mut z_star = draw();
     while points.iter().any(|(z, _)| *z == z_star) {
-        z_star = t.challenge_scalar(r);
+        z_star = draw();
     }
     z_star
 }
 
 /// `Z(x) = Π (x − zᵢ)` evaluated directly (no coefficient expansion).
-fn vanishing_at(points: &[(BigUint, BigUint)], x: &BigUint, r: &BigUint) -> BigUint {
-    let mut acc = BigUint::one();
+fn vanishing_at(points: &[(Fp, Fp)], x: &Fp) -> Fp {
+    let mut acc = x.ctx().one();
     for (z, _) in points {
-        acc = mod_mul(&acc, &mod_sub(x, z, r), r);
+        acc.mul_assign(&(x - z));
     }
     acc
 }

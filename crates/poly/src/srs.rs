@@ -23,8 +23,7 @@
 
 use finesse_core::SrsError;
 use finesse_curves::{Affine, Compression, Curve};
-use finesse_ff::scalar::mod_mul;
-use finesse_ff::{BigUint, Fp, Fq};
+use finesse_ff::{Fp, Fq};
 use finesse_pairing::{SplitMix64Transcript, Transcript};
 use std::sync::Arc;
 
@@ -60,11 +59,12 @@ impl Srs {
         }
 
         let g1 = curve.g1_generator();
+        let tau_fr = curve.fr().from_biguint(&tau);
         let mut powers_g1 = Vec::with_capacity(max_degree + 1);
-        let mut tau_i = BigUint::one();
+        let mut tau_i = curve.fr().one();
         for _ in 0..=max_degree {
-            powers_g1.push(curve.g1_mul(g1, &tau_i));
-            tau_i = mod_mul(&tau_i, &tau, r);
+            powers_g1.push(curve.g1_mul(g1, &tau_i.to_biguint()));
+            tau_i.mul_assign(&tau_fr);
         }
         let tau_g2 = curve.g2_mul(curve.g2_generator(), &tau);
         Srs {

@@ -1,14 +1,18 @@
 //! Integration tests for the `finesse-poly` KZG stack: differential
 //! verification against naive per-opening pairing checks on all seven
-//! Table 2 curves, batched-opening soundness under targeted tampering,
-//! adversarial SRS wire decoding (splitmix64 fuzz, same harness shape as
-//! `tests/wire.rs`), precomputed-vs-plain scalar-mul bit-identity on
-//! caller-registered bases, and the serving-layer cost contract — a
-//! whole batch of openings settling in exactly two Miller loops.
+//! Table 2 curves, the F_r polynomial arithmetic against a `BigUint`
+//! Horner oracle on every curve's r, batched-opening soundness under
+//! targeted tampering, bit-for-bit pinned batched proofs, typed errors
+//! for a polynomial over another field, adversarial SRS wire decoding
+//! (splitmix64 fuzz, same harness shape as `tests/wire.rs`),
+//! precomputed-vs-plain scalar-mul bit-identity on caller-registered
+//! bases, and the serving-layer cost contract — a whole batch of
+//! openings settling in exactly two Miller loops.
 
 use finesse_core::{PolyError, SrsError};
-use finesse_curves::{all_specs, scalar_mul, to_affine, Curve, FpOps, FqOps};
-use finesse_ff::BigUint;
+use finesse_curves::{all_specs, scalar_mul, to_affine, Compression, Curve, FpOps, FqOps};
+use finesse_ff::scalar::{mod_add, mod_mul};
+use finesse_ff::{BigUint, Fp};
 use finesse_pairing::PairingEngine;
 use finesse_poly::{BatchOpening, Claim, Kzg, Polynomial, Srs};
 use std::sync::Arc;
@@ -35,6 +39,24 @@ impl SplitMix64 {
 /// A random dense polynomial with `n` full-width coefficients.
 fn random_poly(rng: &mut SplitMix64, n: usize, r: &BigUint) -> Polynomial {
     Polynomial::new((0..n).map(|_| rng.scalar(r.bits())).collect(), r)
+}
+
+/// `p(x) mod r` by Horner's rule on `BigUint`: the oracle the F_r
+/// polynomial arithmetic is checked against.
+fn horner(coeffs: &[BigUint], x: &BigUint, r: &BigUint) -> BigUint {
+    coeffs.iter().rev().fold(BigUint::zero(), |acc, c| {
+        mod_add(&mod_mul(&acc, x, r), c, r)
+    })
+}
+
+/// A polynomial's coefficients as canonical integers.
+fn big(p: &Polynomial) -> Vec<BigUint> {
+    p.coeffs().iter().map(Fp::to_biguint).collect()
+}
+
+/// Coefficient `i`, zero past the end.
+fn coeff(cs: &[BigUint], i: usize) -> BigUint {
+    cs.get(i).cloned().unwrap_or_default()
 }
 
 /// The issue's edge-scalar list: identity-adjacent, r-adjacent (the
@@ -68,7 +90,8 @@ fn single_openings_match_naive_pairing_on_all_curves() {
         let ops = FpOps(Arc::clone(curve.fp()));
         for z in [BigUint::zero(), BigUint::from_u64(5), rng.scalar(r.bits())] {
             let opening = kzg.open(&poly, &z).unwrap();
-            assert_eq!(opening.y, poly.eval(&z.rem(r), r), "{}", spec.name);
+            let want_y = poly.eval(&curve.fr().from_biguint(&z)).to_biguint();
+            assert_eq!(opening.y, want_y, "{}", spec.name);
             // Accumulator path.
             kzg.verify(&commitment, &opening).unwrap();
             // Naive oracle: e(C − [y]G1 + [z]W, G2) =? e(W, [τ]G2),
@@ -91,7 +114,7 @@ fn single_openings_match_naive_pairing_on_all_curves() {
             );
             // Perturbed claim fails both paths.
             let mut bad = opening.clone();
-            bad.y = finesse_ff::scalar::mod_add(&bad.y, &BigUint::one(), r);
+            bad.y = mod_add(&bad.y, &BigUint::one(), r);
             assert!(matches!(
                 kzg.verify(&commitment, &bad),
                 Err(PolyError::OpeningRejected)
@@ -105,6 +128,183 @@ fn single_openings_match_naive_pairing_on_all_curves() {
         let opening = kzg.open(&constant, &BigUint::from_u64(9)).unwrap();
         assert!(opening.witness.infinity, "{}", spec.name);
         kzg.verify(&c_const, &opening).unwrap();
+    }
+}
+
+#[test]
+fn polynomial_ops_match_the_biguint_oracle_on_all_curves() {
+    for spec in all_specs() {
+        let name = spec.name;
+        let curve = Curve::by_name(name);
+        let (r, fr) = (curve.r(), curve.fr());
+        let mut rng = SplitMix64(0xD1FF ^ name.len() as u64);
+        let edges = edge_scalars(&curve);
+        let reduced: Vec<BigUint> = edges.iter().map(|e| e.rem(r)).collect();
+
+        // `new` reduces every edge scalar once, over the curve's field.
+        let p = Polynomial::new(edges.clone(), r);
+        assert_eq!(big(&p), reduced, "{name}");
+        assert!(Arc::ptr_eq(p.field(), fr), "{name}");
+
+        // The zero polynomial (here r ≡ 0 is trimmed away) keeps its field.
+        let zero = Polynomial::new(vec![BigUint::zero(), r.clone()], r);
+        assert!(zero.is_zero() && zero.degree().is_none(), "{name}");
+        assert!(Arc::ptr_eq(zero.field(), fr), "{name}");
+        let x = fr.from_biguint(&rng.scalar(r.bits()));
+        assert!(zero.eval(&x).is_zero(), "{name}");
+        let (q, rem) = zero.divide_by_linear(&x);
+        assert!(q.is_zero() && rem.is_zero(), "{name}");
+
+        // eval and divide_by_linear at every edge point:
+        // q·(X − z) + rem = p, i.e. pᵢ + z·qᵢ = qᵢ₋₁ (rem for i = 0).
+        let coeffs: Vec<BigUint> = (0..9).map(|_| rng.scalar(r.bits())).collect();
+        let p = Polynomial::new(coeffs.clone(), r);
+        for (z, zr) in edges.iter().zip(&reduced) {
+            let y = horner(&coeffs, zr, r);
+            let zf = fr.from_biguint(z);
+            assert_eq!(p.eval(&zf).to_biguint(), y, "{name}: eval");
+            let (q, rem) = p.divide_by_linear(&zf);
+            assert_eq!(rem.to_biguint(), y, "{name}: remainder");
+            let q = big(&q);
+            for (i, c) in coeffs.iter().enumerate() {
+                let lhs = mod_add(c, &mod_mul(zr, &coeff(&q, i), r), r);
+                let rhs = if i == 0 { y.clone() } else { q[i - 1].clone() };
+                assert_eq!(lhs, rhs, "{name}: quotient coefficient {i}");
+            }
+        }
+
+        // sub_constant and sub_scaled, coefficient-wise: hᵢ + s·gᵢ = fᵢ,
+        // with the shorter operand on either side.
+        let s = rng.scalar(r.bits());
+        let c = big(&p.sub_constant(&fr.from_biguint(&s)));
+        assert_eq!(mod_add(&c[0], &s, r), coeffs[0].rem(r), "{name}");
+        assert_eq!(c[1..], big(&p)[1..], "{name}: sub_constant");
+        let g = random_poly(&mut rng, 5, r);
+        for (f, g) in [(&p, &g), (&g, &p)] {
+            let h = big(&f.sub_scaled(g, &fr.from_biguint(&s)));
+            let (fc, gc) = (big(f), big(g));
+            for i in 0..fc.len().max(gc.len()) {
+                let lhs = mod_add(&coeff(&h, i), &mod_mul(&s, &coeff(&gc, i), r), r);
+                assert_eq!(lhs, coeff(&fc, i), "{name}: sub_scaled coefficient {i}");
+            }
+        }
+
+        // interpolate round-trips Horner evaluations at distinct points;
+        // no points and points equal mod r are typed errors.
+        let zs: Vec<BigUint> = (0..coeffs.len()).map(|_| rng.scalar(r.bits())).collect();
+        let points: Vec<(Fp, Fp)> = zs
+            .iter()
+            .map(|z| {
+                (
+                    fr.from_biguint(z),
+                    fr.from_biguint(&horner(&coeffs, &z.rem(r), r)),
+                )
+            })
+            .collect();
+        assert_eq!(Polynomial::interpolate(&points).unwrap(), p, "{name}");
+        assert!(matches!(
+            Polynomial::interpolate(&[]),
+            Err(PolyError::NoPoints)
+        ));
+        let dup = [
+            (fr.from_biguint(&edges[1]), fr.one()),
+            (fr.from_biguint(&edges[4]), fr.zero()),
+        ];
+        assert!(
+            matches!(
+                Polynomial::interpolate(&dup),
+                Err(PolyError::DuplicatePoint)
+            ),
+            "{name}: 1 and r + 1 coincide"
+        );
+
+        // vanishing: monic of degree n, zero exactly on its roots, and
+        // Π (x − zᵢ) elsewhere.
+        let roots: Vec<Fp> = points.iter().map(|(z, _)| z.clone()).collect();
+        let v = Polynomial::vanishing(&roots, fr);
+        assert_eq!(v.degree(), Some(roots.len()), "{name}");
+        assert!(v.coeffs().last().is_some_and(Fp::is_one), "{name}");
+        for z in &roots {
+            assert!(v.eval(z).is_zero(), "{name}");
+        }
+        let x = rng.scalar(r.bits()).rem(r);
+        let want = zs.iter().fold(BigUint::one(), |acc, z| {
+            let minus_z = r.checked_sub(&z.rem(r)).unwrap();
+            mod_mul(&acc, &mod_add(&x, &minus_z, r), r)
+        });
+        assert_eq!(v.eval(&fr.from_biguint(&x)).to_biguint(), want, "{name}");
+    }
+}
+
+#[test]
+fn a_polynomial_over_another_field_gets_a_typed_error() {
+    let curve = Curve::by_name("BN254N");
+    let engine = PairingEngine::new(curve.clone());
+    let srs = Srs::generate(&curve, 4, b"kzg-field");
+    let kzg = Kzg::new(&engine, &srs).unwrap();
+    let own = Polynomial::new(vec![BigUint::from_u64(3)], curve.r());
+    let commitment = kzg.commit(&own).unwrap();
+
+    let other = Curve::by_name("BLS12-381");
+    let coeffs = vec![BigUint::from_u64(3), BigUint::from_u64(5)];
+    let z = BigUint::from_u64(2);
+    for foreign in [
+        Polynomial::new(coeffs, other.r()),
+        Polynomial::new(Vec::new(), other.r()),
+    ] {
+        assert!(matches!(
+            kzg.commit(&foreign),
+            Err(PolyError::FieldMismatch)
+        ));
+        assert!(matches!(
+            kzg.open(&foreign, &z),
+            Err(PolyError::FieldMismatch)
+        ));
+        assert!(matches!(
+            kzg.open_batch(&foreign, &commitment, std::slice::from_ref(&z)),
+            Err(PolyError::FieldMismatch)
+        ));
+    }
+}
+
+/// FNV-1a over a byte stream: a stable fingerprint for pinning outputs
+/// bit for bit (not a security hash).
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3)
+    })
+}
+
+#[test]
+fn open_batch_proofs_are_pinned_bit_for_bit() {
+    // Digests of the compressed commitment, W and W′ plus the claimed
+    // points for a 256-coefficient polynomial opened at 8 points,
+    // recorded when F_r arithmetic still ran on `BigUint`: any change to
+    // the prover's arithmetic that alters a proof shows up here.
+    for (name, want) in [
+        ("BN254N", 0x5cde_6f97_ab42_e383u64),
+        ("BLS12-381", 0x431c_a8ed_1bdb_3c53),
+    ] {
+        let curve = Curve::by_name(name);
+        let engine = PairingEngine::new(curve.clone());
+        let srs = Srs::generate(&curve, 255, b"kzg-pinned");
+        let kzg = Kzg::new(&engine, &srs).unwrap();
+        let r = curve.r();
+        let mut rng = SplitMix64(0x0B47);
+        let poly = random_poly(&mut rng, 256, r);
+        let zs: Vec<BigUint> = (0..8).map(|_| rng.scalar(r.bits())).collect();
+        let commitment = kzg.commit(&poly).unwrap();
+        let opening = kzg.open_batch(&poly, &commitment, &zs).unwrap();
+        let mut bytes = Vec::new();
+        for p in [&commitment, &opening.quotient, &opening.shift] {
+            bytes.extend(curve.encode_g1(p, Compression::Compressed));
+        }
+        for (z, y) in &opening.points {
+            bytes.extend(z.to_hex().bytes());
+            bytes.push(b'/');
+            bytes.extend(y.to_hex().bytes());
+        }
+        assert_eq!(fnv1a(&bytes), want, "{name}");
     }
 }
 
@@ -132,7 +332,7 @@ fn batched_opening_rejects_every_tampered_component() {
 
     // Tampered y: claim a different evaluation at one point.
     let mut bad = opening.clone();
-    bad.points[2].1 = finesse_ff::scalar::mod_add(&bad.points[2].1, &BigUint::one(), r);
+    bad.points[2].1 = mod_add(&bad.points[2].1, &BigUint::one(), r);
     assert!(matches!(
         kzg.verify_batch(&[claim(bad)]),
         Err(PolyError::BatchRejected { bad }) if bad == vec![0]
@@ -140,7 +340,7 @@ fn batched_opening_rejects_every_tampered_component() {
 
     // Tampered z: move one evaluation point.
     let mut bad = opening.clone();
-    bad.points[0].0 = finesse_ff::scalar::mod_add(&bad.points[0].0, &BigUint::one(), r);
+    bad.points[0].0 = mod_add(&bad.points[0].0, &BigUint::one(), r);
     assert!(matches!(
         kzg.verify_batch(&[claim(bad)]),
         Err(PolyError::BatchRejected { .. })
