@@ -18,18 +18,20 @@
 //! multi-pairing on the headline curves at 1/2/4/hardware thread budgets,
 //! and writes machine-readable
 //! `results/BENCH_fieldops.json` — stamped with the git commit and ISO
-//! date, so the artifact trail CI uploads per PR is self-describing.
+//! date, so the artifact trail CI uploads per PR is self-describing. The
+//! emission carries the committed `regression_gates` manifest unchanged.
 //!
 //! `--bench-regress all` is the CI gate: it reads the per-metric
 //! `regression_gates` manifest (`metric`, `curve`, `baseline_ns`,
 //! `budget_pct`) from the *committed* `results/BENCH_fieldops.json`,
 //! re-measures every row, prints a pass/fail table, and exits non-zero on
 //! any breach — gating a new metric means committing one JSON row, not
-//! editing workflow YAML.
+//! editing workflow YAML. Without that file, or with no gate rows in it,
+//! both modes exit 2.
 
 use finesse_bench::{f, kfmt, TextTable};
 use finesse_compiler::{compile_pairing, tower_shape, CompileOptions};
-use finesse_curves::Curve;
+use finesse_curves::{all_specs, spec_by_name, Curve};
 use finesse_dse::{
     best_point, codesign_alu_sweep, compare_with_software, evaluate_point, explore,
     figure10_points, variant_sweep_points, DesignPoint, Objective,
@@ -38,21 +40,15 @@ use finesse_hw::{
     area_breakdown, fpga_utilization, scale, security_bits, AreaInputs, HwModel, NodeMetrics,
     TechNode, FLEXIPAIR, IKEDA_ASSCC19,
 };
-use finesse_ir::{lower, CostModel, FpProgram, HirOp, HirProgram, Kernel, VariantConfig};
+use finesse_ir::{lower, CostModel, FpProgram, HirOp, HirProgram, VariantConfig};
 use finesse_sim::simulate;
 use std::fs;
 use std::io::Write as _;
 use std::sync::Arc;
 
-const CURVES: [&str; 7] = [
-    "BN254N",
-    "BN462",
-    "BN638",
-    "BLS12-381",
-    "BLS12-446",
-    "BLS12-638",
-    "BLS24-509",
-];
+/// The committed bench emission: the software medians the co-design
+/// exhibits price against, and the regression-gate manifest.
+const BENCH_JSON: &str = "results/BENCH_fieldops.json";
 
 type Experiment = (&'static str, fn() -> String);
 
@@ -62,7 +58,7 @@ fn main() {
     if arg == "--bench-json" {
         let which = std::env::args().nth(2).unwrap_or_else(|| "all".into());
         let json = bench_fieldops_json(&which);
-        fs::write("results/BENCH_fieldops.json", &json).expect("write bench json");
+        fs::write(BENCH_JSON, &json).expect("write bench json");
         print!("{json}");
         return;
     }
@@ -73,9 +69,8 @@ fn main() {
     if arg == "--codesign-report" {
         // The one-command co-design artifact path: regenerate the two
         // paper exhibits whose software column is priced by the shared
-        // CostModel (measured medians from results/BENCH_fieldops.json
-        // when present, analytic defaults otherwise). CI diffs the
-        // regenerated files against the committed ones.
+        // CostModel (the measured medians in results/BENCH_fieldops.json).
+        // CI diffs the regenerated files against the committed ones.
         run_experiments(vec![("table2", table2 as fn() -> String), ("fig2", fig2)]);
         return;
     }
@@ -121,12 +116,14 @@ fn run_experiments(selected: Vec<Experiment>) {
     }
 }
 
-/// The software baseline every co-design report prices against:
-/// measured medians from the committed bench JSON when available,
-/// analytic defaults otherwise.
+/// The software baseline every co-design report prices against: the
+/// measured medians in the committed bench JSON. Without them there is
+/// no software column to print, so the run stops with exit status 2.
 fn sw_cost_model() -> CostModel {
-    CostModel::load(std::path::Path::new("results/BENCH_fieldops.json"))
-        .unwrap_or_else(|_| CostModel::analytic())
+    CostModel::load(std::path::Path::new(BENCH_JSON)).unwrap_or_else(|e| {
+        eprintln!("cannot price the software baseline from {BENCH_JSON}: {e}");
+        std::process::exit(2);
+    })
 }
 
 fn default_variants(curve: &Arc<Curve>) -> VariantConfig {
@@ -161,99 +158,6 @@ fn bench_ns<F: FnMut()>(mut f: F) -> f64 {
     samples[2]
 }
 
-/// Reference timings of the Vec-limbed field arithmetic immediately
-/// before the inline-limb (`Limbs`) rewrite, captured on the development
-/// machine with the criterion-shim harness. Kept in the emitted JSON so
-/// every future emission shows the trajectory against the last
-/// representation change; `null` means the combination was not measured.
-const PRE_PR_FP_MUL_NS: [(&str, f64); 4] = [
-    ("BN254N", 60.6),
-    ("BLS12-381", 96.5),
-    ("BLS12-638", 229.3),
-    ("BLS24-509", 153.2),
-];
-const PRE_PR_FQ_MUL_NS: [(&str, f64); 2] = [("BN254N", 461.6), ("BLS24-509", 3904.7)];
-const PRE_PR_PAIRING_NS: [(&str, f64); 3] = [
-    ("BN254N", 6_201_048.0),
-    ("BLS12-381", 9_452_807.0),
-    ("BLS24-509", 49_701_200.0),
-];
-
-/// The allocation-free (PR 2) fq_mul medians, i.e. the state immediately
-/// before the lazy-reduction rewrite. Written into the emitted JSON's
-/// `pr2_baseline_ns` block; `--bench-regress` reads the *committed* JSON
-/// as its source of truth and only falls back to these constants when the
-/// file is missing or lacks the entry.
-const PR2_FQ_MUL_NS: [(&str, f64); 7] = [
-    ("BN254N", 391.8),
-    ("BN462", 667.0),
-    ("BN638", 849.7),
-    ("BLS12-381", 498.5),
-    ("BLS12-446", 582.0),
-    ("BLS12-638", 855.4),
-    ("BLS24-509", 2800.5),
-];
-
-/// The plain width-4 wNAF (PR 3) scalar-multiplication medians, i.e. the
-/// state immediately before the GLV/GLS endomorphism split. Embedded as
-/// `pr3_baseline_ns` so the trajectory of the scalar-mul hot path stays
-/// visible; the `g1_mul` regression gate compares against the *committed*
-/// post-GLV `curves[]` row, not these floors.
-const PR3_G1_MUL_NS: [(&str, f64); 7] = [
-    ("BN254N", 262_518.0),
-    ("BN462", 891_905.0),
-    ("BN638", 1_604_839.0),
-    ("BLS12-381", 373_640.0),
-    ("BLS12-446", 525_128.0),
-    ("BLS12-638", 1_435_852.0),
-    ("BLS24-509", 815_399.0),
-];
-const PR3_G2_MUL_NS: [(&str, f64); 7] = [
-    ("BN254N", 1_188_448.0),
-    ("BN462", 3_050_875.0),
-    ("BN638", 5_085_468.0),
-    ("BLS12-381", 1_357_081.0),
-    ("BLS12-446", 1_920_065.0),
-    ("BLS12-638", 3_599_658.0),
-    ("BLS24-509", 6_740_015.0),
-];
-/// 64 independent wNAF g1_muls plus 63 additions (the pre-MSM batch
-/// path), for the headline curves.
-const PR3_NAIVE_MSM64_NS: [(&str, f64); 2] =
-    [("BN254N", 19_533_200.0), ("BLS12-381", 29_874_800.0)];
-
-/// The GLV/GLS (PR 4) medians — the state immediately before the
-/// fixed-base comb / batch-affine Pippenger layer. Embedded as
-/// `pr4_baseline_ns` so the scalar-mul trajectory stays visible next to
-/// the PR 3 wNAF floors.
-const PR4_G1_MUL_NS: [(&str, f64); 7] = [
-    ("BN254N", 161_838.0),
-    ("BN462", 570_185.0),
-    ("BN638", 1_080_805.0),
-    ("BLS12-381", 262_341.0),
-    ("BLS12-446", 360_679.0),
-    ("BLS12-638", 860_100.0),
-    ("BLS24-509", 621_170.0),
-];
-const PR4_G2_MUL_NS: [(&str, f64); 7] = [
-    ("BN254N", 482_683.0),
-    ("BN462", 1_254_189.0),
-    ("BN638", 2_246_297.0),
-    ("BLS12-381", 615_752.0),
-    ("BLS12-446", 861_570.0),
-    ("BLS12-638", 1_778_618.0),
-    ("BLS24-509", 2_355_474.0),
-];
-const PR4_MSM64_NS: [(&str, f64); 7] = [
-    ("BN254N", 3_388_001.0),
-    ("BN462", 9_885_769.0),
-    ("BN638", 11_426_895.0),
-    ("BLS12-381", 5_111_457.0),
-    ("BLS12-446", 7_293_667.0),
-    ("BLS12-638", 12_508_997.0),
-    ("BLS24-509", 9_149_265.0),
-];
-
 /// The metrics [`measure_metric`] knows how to re-run; every manifest
 /// gate names one of these.
 const METRICS: [&str; 13] = [
@@ -281,63 +185,6 @@ struct Gate {
     budget_pct: f64,
 }
 
-/// Builtin copy of the gate manifest, written into every emitted JSON and
-/// used as the fallback when the committed file is missing or predates
-/// the manifest. `--bench-regress` itself always prefers the *committed*
-/// `results/BENCH_fieldops.json`, so re-baselining is a one-file edit.
-const DEFAULT_GATES: [(&str, &str, f64, f64); 18] = [
-    // The historical PR 2 floor contract on the deepest tower.
-    ("fq_mul", "BLS24-509", 2800.5, 10.0),
-    // Variable-base GLV/JSF path vs the committed PR 4 median.
-    ("g1_mul", "BN254N", 161_838.0, 25.0),
-    // PR 5 fixed-base comb and batch-affine Pippenger medians (dev
-    // container); generous budgets absorb shared-runner jitter.
-    ("g1_mul_fixed", "BN254N", 62_208.0, 30.0),
-    ("g1_mul_fixed", "BLS12-381", 110_993.0, 30.0),
-    ("msm256", "BN254N", 9_168_355.0, 30.0),
-    ("msm256", "BLS12-381", 12_075_645.0, 30.0),
-    // PR 6 signed-digit sharded-Pippenger medians on the batch sizes
-    // that cross the parallel threshold (single-core container, so
-    // these baselines time the serial fallback of the sharded path).
-    ("msm4096", "BN254N", 108_344_515.0, 30.0),
-    ("msm4096", "BLS12-381", 137_514_073.0, 30.0),
-    // PR 7 deferred-accumulator medians: 32 BLS-shaped checks against 4
-    // signers, settled with 5 prepared Miller loops + one final
-    // exponentiation + short-scalar MSMs (warm prepared-G2 cache).
-    ("batch_verify_32", "BN254N", 10_969_805.0, 30.0),
-    ("batch_verify_32", "BLS12-381", 12_903_026.0, 30.0),
-    // PR 10 KZG serving path: 8 single openings of one commitment
-    // settled through the accumulator in two prepared Miller loops.
-    ("kzg_verify_batch_8", "BN254N", 5_753_566.0, 30.0),
-    ("kzg_verify_batch_8", "BLS12-381", 8_993_052.0, 30.0),
-    // The KZG prover: one batched opening of a 256-coefficient
-    // polynomial at 8 points, F_r arithmetic on the Montgomery kernel.
-    ("kzg_open_batch_8", "BN254N", 15_522_961.0, 30.0),
-    ("kzg_open_batch_8", "BLS12-381", 20_142_016.0, 30.0),
-    // Strict compressed G2 decode: the norm-method F_q square root plus
-    // the GLS subgroup check.
-    ("decode_g2", "BN254N", 618_178.0, 30.0),
-    ("decode_g2", "BLS12-381", 463_241.0, 30.0),
-    // One co-design loop design point: compile, decode, simulate and
-    // price BN254N "All karat. @ L38/S8 single-issue" (no write-back FIFO).
-    ("evaluate_point", "BN254N", 72_780_876.0, 30.0),
-    // The parallel pairing path: 30 warm prepared Miller loops on two
-    // threads plus one final exponentiation.
-    ("multi_pair_prepared_30_t2", "BLS12-381", 27_535_715.0, 30.0),
-];
-
-fn default_gates() -> Vec<Gate> {
-    DEFAULT_GATES
-        .iter()
-        .map(|&(metric, curve, baseline_ns, budget_pct)| Gate {
-            metric: metric.into(),
-            curve: curve.into(),
-            baseline_ns,
-            budget_pct,
-        })
-        .collect()
-}
-
 /// Extracts the string value of `"key": "…"` from a flat JSON object
 /// body.
 fn json_str_field(obj: &str, key: &str) -> Option<String> {
@@ -354,29 +201,35 @@ fn json_num_field(obj: &str, key: &str) -> Option<f64> {
     after[..end].trim().parse().ok()
 }
 
-/// Parses the `regression_gates` manifest out of the committed
-/// `results/BENCH_fieldops.json` (the format this binary itself emits).
-fn gates_from_json() -> Option<Vec<Gate>> {
-    let text = fs::read_to_string("results/BENCH_fieldops.json").ok()?;
-    let arr = &text[text.find("\"regression_gates\"")?..];
-    let arr = &arr[arr.find('[')? + 1..];
-    let arr = &arr[..arr.find(']')?];
-    let mut gates = Vec::new();
-    for obj in arr.split('{').skip(1) {
-        let obj = &obj[..obj.find('}')?];
-        gates.push(Gate {
-            metric: json_str_field(obj, "metric")?,
-            curve: json_str_field(obj, "curve")?,
-            baseline_ns: json_num_field(obj, "baseline_ns")?,
-            budget_pct: json_num_field(obj, "budget_pct")?,
-        });
-    }
-    (!gates.is_empty()).then_some(gates)
-}
-
-/// The gate manifest: committed JSON first, builtin defaults otherwise.
-fn load_gates() -> Vec<Gate> {
-    gates_from_json().unwrap_or_else(default_gates)
+/// The gate manifest: the `regression_gates` rows of the committed
+/// [`BENCH_JSON`] (the format this binary itself emits), the only
+/// source of gates. Without them no gate can run or be re-emitted, so
+/// the run stops with exit status 2, naming the file.
+fn committed_gates() -> Vec<Gate> {
+    let text = fs::read_to_string(BENCH_JSON).unwrap_or_else(|e| {
+        eprintln!("cannot read {BENCH_JSON}: {e}");
+        std::process::exit(2);
+    });
+    let parse = || -> Option<Vec<Gate>> {
+        let arr = &text[text.find("\"regression_gates\"")?..];
+        let arr = &arr[arr.find('[')? + 1..];
+        let arr = &arr[..arr.find(']')?];
+        let mut gates = Vec::new();
+        for obj in arr.split('{').skip(1) {
+            let obj = &obj[..obj.find('}')?];
+            gates.push(Gate {
+                metric: json_str_field(obj, "metric")?,
+                curve: json_str_field(obj, "curve")?,
+                baseline_ns: json_num_field(obj, "baseline_ns")?,
+                budget_pct: json_num_field(obj, "budget_pct")?,
+            });
+        }
+        (!gates.is_empty()).then_some(gates)
+    };
+    parse().unwrap_or_else(|| {
+        eprintln!("{BENCH_JSON} holds no well-formed `regression_gates` rows");
+        std::process::exit(2);
+    })
 }
 
 /// Distinct 256-point/full-width-scalar MSM inputs — the batch
@@ -639,14 +492,8 @@ fn run_gate(gate: &Gate) -> (f64, f64, bool) {
 /// `--bench-regress all`: the manifest-driven CI gate. Prints one
 /// pass/fail row per manifest entry and exits non-zero on any breach.
 fn bench_regress_all() -> i32 {
-    let parsed = gates_from_json();
-    let source = if parsed.is_some() {
-        "results/BENCH_fieldops.json"
-    } else {
-        "builtin defaults (no committed manifest)"
-    };
-    let gates = parsed.unwrap_or_else(default_gates);
-    println!("regression gates from {source}:");
+    let gates = committed_gates();
+    println!("regression gates from {BENCH_JSON}:");
     let mut t = TextTable::new(&[
         "metric",
         "curve",
@@ -700,14 +547,17 @@ fn bench_regress_cli(rest: &[String]) -> i32 {
         "fq_mul".to_owned()
     };
     let which = rest.first().cloned().unwrap_or_else(|| "BLS24-509".into());
-    let Some(name) = CURVES.iter().find(|c| c.eq_ignore_ascii_case(&which)) else {
-        eprintln!("unknown curve `{which}`; expected one of {CURVES:?}");
+    let Some(name) = spec_by_name(&which).map(|s| s.name) else {
+        eprintln!(
+            "unknown curve `{which}`; expected one of {:?}",
+            all_specs().map(|s| s.name)
+        );
         return 2;
     };
-    let manifest = load_gates();
+    let manifest = committed_gates();
     let Some(gate) = manifest
         .iter()
-        .find(|g| g.metric == metric && g.curve == *name)
+        .find(|g| g.metric == metric && g.curve == name)
     else {
         eprintln!(
             "no gate for ({metric}, {name}) in the manifest; add a row to \
@@ -733,8 +583,7 @@ fn bench_regress_cli(rest: &[String]) -> i32 {
 }
 
 /// A full-width deterministic bench scalar in `[0, r)` (cubing mod r
-/// fills the full width of every Table 2 group order; the PR 3 floors
-/// were captured with the same scalar on the plain wNAF ladder).
+/// fills the full width of every Table 2 group order).
 fn bench_scalar(curve: &Arc<Curve>) -> finesse_ff::BigUint {
     finesse_ff::BigUint::from_hex(
         "e4c91a3bf3a77d9f1a4b5c6d7e8f90123456789abcdef0fedcba98765432100f",
@@ -782,14 +631,19 @@ fn bench_fieldops_json(which: &str) -> String {
     use std::hint::black_box;
 
     let selected: Vec<&str> = if which == "all" {
-        CURVES.to_vec()
+        all_specs().map(|s| s.name).to_vec()
     } else {
-        let found = CURVES.iter().find(|c| c.eq_ignore_ascii_case(which));
-        vec![found.unwrap_or_else(|| {
-            eprintln!("unknown curve `{which}`; expected one of {CURVES:?} or `all`");
+        vec![spec_by_name(which).map(|s| s.name).unwrap_or_else(|| {
+            eprintln!(
+                "unknown curve `{which}`; expected one of {:?} or `all`",
+                all_specs().map(|s| s.name)
+            );
             std::process::exit(2);
         })]
     };
+    // The emission carries the committed gate manifest unchanged; read
+    // it before timing anything.
+    let gates = committed_gates();
 
     let mut rows = Vec::new();
     for name in selected {
@@ -971,14 +825,7 @@ fn bench_fieldops_json(which: &str) -> String {
         entries.join(",\n")
     };
 
-    let baseline = |pairs: &[(&str, f64)]| -> String {
-        pairs
-            .iter()
-            .map(|(n, v)| format!("\"{n}\": {v:.1}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    let gates = default_gates()
+    let gates = gates
         .iter()
         .map(|g| {
             format!(
@@ -990,26 +837,16 @@ fn bench_fieldops_json(which: &str) -> String {
         .join(",\n");
     format!(
         "{{\n  \"schema\": \"finesse-bench-fieldops/v6\",\n  \"harness\": \"median of 5 batches, ns per op\",\n  \"commit\": \"{}\",\n  \"date\": \"{}\",\n\
-         \n  \"cost_model\": {{\n    \"consumer\": \"finesse_ir::cost::CostModel::from_bench_json\",\n    \"provenance\": \"measured medians; dse/sim/experiments price the software column of table2/fig2 from these rows\",\n    \"consumed_fields\": [\"fq_mul_ns\", \"g1_mul_ns\", \"g1_mul_fixed_ns\", \"g2_mul_ns\", \"g2_mul_fixed_ns\", \"msm256_g1_ns\", \"msm1024_g1_ns\", \"msm4096_g1_ns\", \"pairing_ns\", \"batch_verify (n=32 amortized)\"]\n  }},\n\
+         \n  \"cost_model\": {{\n    \"consumer\": \"finesse_ir::cost::CostModel::from_bench_json\",\n    \"provenance\": \"measured medians; dse/experiments price the software column of table2/fig2 from the pairing_ns rows\",\n    \"consumed_fields\": [\"pairing_ns\"]\n  }},\n\
          \n  \"regression_gates\": [\n{gates}\n  ],\n\
          \n  \"curves\": [\n{}\n  ],\n\
          \n  \"batch_verify\": {{\n    \"note\": \"n BLS-shaped checks e(sig,G2)=?e(h,pk) against 4 signers: one PairingAccumulator settle (prepared-G2 Miller loops, 128-bit RLC weights, short-scalar MSMs, one final exponentiation) vs n sequential 2-pairing verifications\",\n    \"rows\": [\n{batch_verify_rows}\n    ]\n  }},\n\
          \n  \"kzg\": {{\n    \"note\": \"finesse-poly serving path: commit = [p(tau)]G1 over a 256-coefficient polynomial (msm256 on the SRS powers); open_batch = one BDFG20 proof pair for 8 points; verify_batch = 8 single-opening claims settled in two cached Miller loops (fixed-G2 form, warm prepared cache)\",\n    \"rows\": [\n{kzg_rows}\n    ]\n  }},\n\
-         \n  \"parallel_scaling\": {{\n    \"note\": \"msm4096 and multi_pair_prepared_30 (30 warm prepared pairs, one final exponentiation) re-timed with the FINESSE_THREADS budget pinned per row; hardware_threads is the emitting machine's available parallelism — rows at or above it cannot speed up further\",\n    \"hardware_threads\": {},\n    \"rows\": [\n{scaling_rows}\n    ]\n  }},\n  \"pr4_baseline_ns\": {{\n    \"note\": \"GLV/GLS split with per-term wNAF tables (PR 4) before the fixed-base comb, JSF pair recoding, and batch-affine Pippenger buckets\",\n    \"g1_mul\": {{{}}},\n    \"g2_mul\": {{{}}},\n    \"msm64_g1\": {{{}}}\n  }},\n  \"pr3_baseline_ns\": {{\n    \"note\": \"plain width-4 wNAF ladders (PR 3) before the GLV/GLS endomorphism split; naive_msm64 = 64 independent g1_muls + adds\",\n    \"g1_mul\": {{{}}},\n    \"g2_mul\": {{{}}},\n    \"naive_msm64\": {{{}}}\n  }},\n  \"pr2_baseline_ns\": {{\n    \"note\": \"allocation-free Fp (PR 2) before the lazy-reduction rewrite; the fq_mul gate floor\",\n    \"fq_mul\": {{{}}}\n  }},\n  \"pre_pr_baseline_ns\": {{\n    \"note\": \"Vec-limbed Fp before the inline-limb rewrite (criterion-shim medians, same machine)\",\n    \"fp_mul\": {{{}}},\n    \"fq_mul\": {{{}}},\n    \"pairing\": {{{}}}\n  }}\n}}\n",
+         \n  \"parallel_scaling\": {{\n    \"note\": \"msm4096 and multi_pair_prepared_30 (30 warm prepared pairs, one final exponentiation) re-timed with the FINESSE_THREADS budget pinned per row; hardware_threads is the emitting machine's available parallelism — rows at or above it cannot speed up further\",\n    \"hardware_threads\": {},\n    \"rows\": [\n{scaling_rows}\n    ]\n  }}\n}}\n",
         git_commit(),
         iso_date_utc(),
         rows.join(",\n"),
         finesse_parallel::hardware_threads(),
-        baseline(&PR4_G1_MUL_NS),
-        baseline(&PR4_G2_MUL_NS),
-        baseline(&PR4_MSM64_NS),
-        baseline(&PR3_G1_MUL_NS),
-        baseline(&PR3_G2_MUL_NS),
-        baseline(&PR3_NAIVE_MSM64_NS),
-        baseline(&PR2_FQ_MUL_NS),
-        baseline(&PRE_PR_FP_MUL_NS),
-        baseline(&PRE_PR_FQ_MUL_NS),
-        baseline(&PRE_PR_PAIRING_NS),
     )
 }
 
@@ -1032,7 +869,7 @@ fn table2() -> String {
         "HW pairing",
         "speedup",
     ]);
-    for name in CURVES {
+    for name in all_specs().map(|s| s.name) {
         let c = Curve::by_name(name);
         let klogp = (c.k() * c.p().bits()) as f64;
         let sec = security_bits(c.family(), klogp);
@@ -1281,7 +1118,7 @@ fn table7() -> String {
         "IPC opt HW2",
         "compile",
     ]);
-    for name in CURVES {
+    for name in all_specs().map(|s| s.name) {
         let curve = Curve::by_name(name);
         let variants = default_variants(&curve);
         let hw1 = HwModel::paper_default();
@@ -1319,7 +1156,7 @@ fn table7() -> String {
 /// [`CostModel`] software baseline.
 fn fig2() -> String {
     let model = sw_cost_model();
-    let sw_ns = model.cost_ns("BLS24-509", Kernel::Pairing);
+    let sw_ns = model.pairing_ns("BLS24-509");
     let curve = Curve::by_name("BLS24-509");
     let shape = tower_shape(&curve);
     let hw = HwModel::paper_default();
@@ -1475,7 +1312,7 @@ fn fig8() -> String {
         "area/k2log2p",
         "sec bits",
     ]);
-    for name in CURVES {
+    for name in all_specs().map(|s| s.name) {
         let curve = Curve::by_name(name);
         let e = evaluate_point(
             &curve,
@@ -1511,7 +1348,7 @@ fn fig8() -> String {
 fn fig9() -> String {
     let mut out = String::new();
     let window = (10_000u64, 10_080u64);
-    for name in CURVES {
+    for name in all_specs().map(|s| s.name) {
         let curve = Curve::by_name(name);
         let variants = default_variants(&curve);
         let hw = HwModel::paper_default();

@@ -17,8 +17,8 @@
 //! (`finesse-sim`), and the area/timing feedback (`finesse-hw`); the
 //! result is an [`Accelerator`] carrying the binary image, the evaluated
 //! metrics and a validation harness against the reference pairing. The
-//! shared software [`CostModel`] (analytic defaults or measured medians
-//! from `results/BENCH_fieldops.json`) is re-exported here so callers can
+//! shared software [`CostModel`] (the measured pairing medians committed
+//! in `results/BENCH_fieldops.json`) is re-exported here so callers can
 //! price candidate points against the current software baseline.
 
 pub mod config;
@@ -28,5 +28,5 @@ pub mod flow;
 pub use config::{FlowConfig, ParseConfigError};
 pub use error::{FinesseError, PolyError, SrsError};
 pub use finesse_dse::{compare_with_software, DseError, SwComparison};
-pub use finesse_ir::{CostModel, CostModelError, CurveCostRow, Kernel, KernelCosts, Provenance};
+pub use finesse_ir::{CostModel, CostModelError, Provenance};
 pub use flow::{Accelerator, DesignFlow, ValidationReport};

@@ -15,7 +15,7 @@ use finesse_hw::{
     area_breakdown, critical_path_ns, frequency_mhz, latency_us, throughput_ops, AreaBreakdown,
     AreaInputs, HwModel,
 };
-use finesse_ir::{CostModel, Kernel, VariantConfig};
+use finesse_ir::{CostModel, VariantConfig};
 use finesse_sim::{simulate, SimReport};
 use std::fmt;
 use std::sync::Arc;
@@ -181,7 +181,7 @@ pub fn evaluate_point(
 /// [`CostModel`] (the headline comparison of the paper's Table 2/Figure 2).
 #[derive(Clone, Debug)]
 pub struct SwComparison {
-    /// Measured (or analytic) software pairing latency, ns.
+    /// Measured software pairing latency, ns.
     pub sw_pairing_ns: f64,
     /// Simulated hardware pairing latency, ns.
     pub hw_pairing_ns: f64,
@@ -200,12 +200,11 @@ pub fn compare_with_software(
     eval: &Evaluation,
     model: &CostModel,
 ) -> Result<SwComparison, DseError> {
-    let sw_pairing_ns =
-        model
-            .cost_ns(curve_name, Kernel::Pairing)
-            .ok_or_else(|| DseError::UnknownCurveCost {
-                curve: curve_name.to_string(),
-            })?;
+    let sw_pairing_ns = model
+        .pairing_ns(curve_name)
+        .ok_or_else(|| DseError::UnknownCurveCost {
+            curve: curve_name.to_string(),
+        })?;
     let hw_pairing_ns = eval.latency_us * 1000.0;
     Ok(SwComparison {
         sw_pairing_ns,
@@ -385,7 +384,12 @@ mod tests {
             hw: HwModel::paper_default(),
         };
         let e = evaluate_point(&curve, &point, 1).unwrap();
-        let model = CostModel::analytic();
+        let model = CostModel::from_bench_json(
+            r#"{"schema": "finesse-bench-fieldops/v6", "commit": "abc123def456",
+                "date": "2026-08-08",
+                "curves": [{"curve": "BN254N", "pairing_ns": 3141583}]}"#,
+        )
+        .unwrap();
         let cmp = compare_with_software("BN254N", &e, &model).unwrap();
         assert!(cmp.speedup > 1.0, "the accelerator beats software");
         assert_eq!(cmp.hw_pairing_ns, e.latency_us * 1000.0);

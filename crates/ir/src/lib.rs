@@ -15,7 +15,7 @@ pub mod lower;
 pub mod shape;
 pub mod variants;
 
-pub use cost::{CostModel, CostModelError, CurveCostRow, Kernel, KernelCosts, Provenance};
+pub use cost::{CostModel, CostModelError, Provenance};
 pub use fpir::{FpId, FpOp, FpProgram, FpStats, OpClass, Operands};
 pub use hir::{HirConst, HirError, HirInput, HirInst, HirOp, HirProgram, ValueId};
 pub use lower::lower;

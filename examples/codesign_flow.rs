@@ -7,13 +7,14 @@
 //!
 //! The closing step prices the simulated accelerator against the
 //! *measured* software baseline: `CostModel::load` reads the medians
-//! CI commits to `results/BENCH_fieldops.json` (falling back to the
-//! analytic model when the file is absent, e.g. when running from a
-//! different working directory), and `compare_with_software` turns the
-//! simulated latency into the paper's headline speedup. The same model
-//! drives `experiments -- --codesign-report` (table2/fig2).
+//! committed in `results/BENCH_fieldops.json`, and `compare_with_software`
+//! turns the simulated latency into the paper's headline speedup. The
+//! same model drives `experiments -- --codesign-report` (table2/fig2).
+//! Run from the repository root; elsewhere the file is not found and the
+//! comparison line says why it is unavailable.
 
-use finesse_core::{compare_with_software, CostModel, DesignFlow, FlowConfig};
+use finesse_core::{compare_with_software, Accelerator, CostModel, DesignFlow, FlowConfig};
+use std::error::Error;
 use std::path::Path;
 
 fn main() {
@@ -34,20 +35,11 @@ fn main() {
     let accelerator = DesignFlow::from_config(&cfg).build().expect("compiles");
     println!("{}", accelerator.report());
 
-    // Price the design against the current software floor: measured
-    // medians when the committed bench JSON is on disk, analytic
-    // defaults otherwise. This is the co-design loop closing — the same
-    // CostModel the DSE and the paper artifacts (table2/fig2) use.
-    let model = CostModel::load(Path::new("results/BENCH_fieldops.json"))
-        .unwrap_or_else(|_| CostModel::analytic());
-    match compare_with_software("BN254N", accelerator.evaluation(), &model) {
-        Ok(cmp) => println!(
-            "\nvs software ({}): {:.2} ms SW pairing -> {:.1} us simulated = x{:.0}",
-            model.describe(),
-            cmp.sw_pairing_ns / 1e6,
-            cmp.hw_pairing_ns / 1e3,
-            cmp.speedup
-        ),
+    // Price the design against the measured software pairing. This is
+    // the co-design loop closing — the same CostModel the DSE and the
+    // paper artifacts (table2/fig2) use.
+    match vs_software(&accelerator) {
+        Ok(line) => println!("\n{line}"),
         Err(e) => println!("\nvs software: unavailable ({e})"),
     }
 
@@ -59,4 +51,17 @@ fn main() {
         v.matching, v.vectors
     );
     assert!(v.all_passed());
+}
+
+/// The design's simulated pairing against the committed software median.
+fn vs_software(accelerator: &Accelerator) -> Result<String, Box<dyn Error>> {
+    let model = CostModel::load(Path::new("results/BENCH_fieldops.json"))?;
+    let cmp = compare_with_software("BN254N", accelerator.evaluation(), &model)?;
+    Ok(format!(
+        "vs software ({}): {:.2} ms SW pairing -> {:.1} us simulated = x{:.0}",
+        model.describe(),
+        cmp.sw_pairing_ns / 1e6,
+        cmp.hw_pairing_ns / 1e3,
+        cmp.speedup
+    ))
 }
