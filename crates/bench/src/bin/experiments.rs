@@ -1,4 +1,5 @@
-//! Regenerates every table and figure of the Finesse paper's evaluation.
+//! Regenerates every table and figure of the Finesse paper's evaluation,
+//! and times the software stack.
 //!
 //! ```text
 //! experiments [table2|table3|table6|table7|fig2|fig6|fig8|fig9|fig10|fig11|fig12|all]
@@ -8,41 +9,53 @@
 //! experiments --bench-regress [METRIC] CURVE [MAX_PCT]
 //! ```
 //!
-//! Output goes to stdout and to `results/<name>.txt`; the `--bench-json`
-//! mode times the field-arithmetic substrate (fp_mul/fp_sqr/fq_mul), the
-//! group layer (variable- and fixed-base g1_mul/g2_mul, MSM at 64, 256,
-//! 1024, and 4096 points) and the full pairing per Table-2 curve, a
-//! `batch_verify` block comparing deferred accumulator settles against
-//! sequential 2-pairing verification on the headline curves, plus a
-//! `parallel_scaling` block re-timing msm4096 and a 30-pair prepared
-//! multi-pairing on the headline curves at 1/2/4/hardware thread budgets,
-//! and writes machine-readable
-//! `results/BENCH_fieldops.json` — stamped with the git commit and ISO
-//! date, so the artifact trail CI uploads per PR is self-describing. The
-//! emission carries the committed `regression_gates` manifest unchanged.
+//! Output goes to stdout and to `results/<name>.txt`.
 //!
-//! `--bench-regress all` is the CI gate: it reads the per-metric
+//! Every timing runs through one table, `METRICS`: each entry names a
+//! metric and re-measures it on a curve with `bench_ns` (the median of
+//! five batches). `--bench-json` writes `results/BENCH_fieldops.json`
+//! from those entries alone. Per Table-2 curve it times the field
+//! substrate (fp_mul/fp_sqr/fq_mul), the group layer (variable- and
+//! fixed-base g1_mul/g2_mul, MSM at 64, 256, 1024 and 4096 points) and
+//! the pairing with its Miller-loop / final-exponentiation split. On the
+//! headline curves it adds a `batch_verify` block (deferred accumulator
+//! settles against sequential 2-pairing verification), a `kzg` block, and
+//! a `parallel_scaling` block re-timing msm4096 and a 30-pair prepared
+//! multi-pairing at 1/2/4/hardware thread budgets. The emission is
+//! stamped with the git commit and ISO date, and carries the committed
+//! `regression_gates` manifest unchanged.
+//!
+//! `--bench-regress all` is the CI gate. It reads the per-metric
 //! `regression_gates` manifest (`metric`, `curve`, `baseline_ns`,
-//! `budget_pct`) from the *committed* `results/BENCH_fieldops.json`,
-//! re-measures every row, prints a pass/fail table, and exits non-zero on
-//! any breach — gating a new metric means committing one JSON row, not
-//! editing workflow YAML. Without that file, or with no gate rows in it,
-//! both modes exit 2.
+//! `budget_pct`) from the *committed* `results/BENCH_fieldops.json`
+//! through the cost model's reader (`finesse_ir::cost::bench_rows`),
+//! re-measures every row, prints a pass/fail table, and exits 1 on any
+//! breach — gating a new metric means committing one JSON row, not
+//! editing workflow YAML. A missing file, a manifest without gate rows,
+//! a row naming an unknown metric or curve, or a malformed command line
+//! exits 2 before anything is timed.
 
 use finesse_bench::{f, kfmt, TextTable};
 use finesse_compiler::{compile_pairing, tower_shape, CompileOptions};
-use finesse_curves::{all_specs, spec_by_name, Curve};
+use finesse_curves::{all_specs, spec_by_name, Affine, Curve};
 use finesse_dse::{
-    best_point, codesign_alu_sweep, compare_with_software, evaluate_point, explore,
-    figure10_points, variant_sweep_points, DesignPoint, Objective,
+    best_point, codesign_alu_sweep, compare_with_software, evaluate_compiled, evaluate_point,
+    explore, figure10_points, variant_sweep_points, DesignPoint, Objective,
 };
+use finesse_ff::{BigUint, Fp, Fq};
 use finesse_hw::{
     area_breakdown, fpga_utilization, scale, security_bits, AreaInputs, HwModel, NodeMetrics,
     TechNode, FLEXIPAIR, IKEDA_ASSCC19,
 };
+use finesse_ir::cost::{bench_rows, num_field, str_field};
 use finesse_ir::{lower, CostModel, FpProgram, HirOp, HirProgram, VariantConfig};
+use finesse_pairing::PairingEngine;
+use finesse_parallel::with_threads;
+use finesse_poly::{Kzg, Polynomial};
 use finesse_sim::simulate;
+use std::fmt::Write as _;
 use std::fs;
+use std::hint::black_box;
 use std::io::Write as _;
 use std::sync::Arc;
 
@@ -93,10 +106,15 @@ fn main() {
         experiments.into_iter().filter(|(n, _)| *n == arg).collect()
     };
     if selected.is_empty() {
-        eprintln!("unknown experiment `{arg}`; use table2|table3|table6|table7|fig2|fig6|fig8|fig9|fig10|fig11|fig12|all, or --codesign-report");
-        std::process::exit(2);
+        exit_usage(format!("unknown experiment `{arg}`; use table2|table3|table6|table7|fig2|fig6|fig8|fig9|fig10|fig11|fig12|all, or --codesign-report"));
     }
     run_experiments(selected);
+}
+
+/// Reports a bad command line or input file and stops with exit status 2.
+fn exit_usage(message: impl std::fmt::Display) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2)
 }
 
 /// Runs the selected experiments, writing `results/<name>.txt`.
@@ -121,8 +139,9 @@ fn run_experiments(selected: Vec<Experiment>) {
 /// no software column to print, so the run stops with exit status 2.
 fn sw_cost_model() -> CostModel {
     CostModel::load(std::path::Path::new(BENCH_JSON)).unwrap_or_else(|e| {
-        eprintln!("cannot price the software baseline from {BENCH_JSON}: {e}");
-        std::process::exit(2);
+        exit_usage(format!(
+            "cannot price the software baseline from {BENCH_JSON}: {e}"
+        ))
     })
 }
 
@@ -158,288 +177,126 @@ fn bench_ns<F: FnMut()>(mut f: F) -> f64 {
     samples[2]
 }
 
-/// The metrics [`measure_metric`] knows how to re-run; every manifest
-/// gate names one of these.
-const METRICS: [&str; 13] = [
-    "fq_mul",
-    "g1_mul",
-    "g1_mul_fixed",
-    "msm256",
-    "msm1024",
-    "msm4096",
-    "batch_verify_32",
-    "kzg_commit_256",
-    "kzg_open_batch_8",
-    "kzg_verify_batch_8",
-    "decode_g2",
-    "evaluate_point",
-    "multi_pair_prepared_30_t2",
-];
+/// Re-measures a metric's median ns per operation on a curve.
+type Measure = fn(&Arc<Curve>) -> f64;
 
-/// One row of the regression-gate manifest.
-#[derive(Clone, Debug)]
-struct Gate {
-    metric: String,
-    curve: String,
-    baseline_ns: f64,
-    budget_pct: f64,
-}
-
-/// Extracts the string value of `"key": "…"` from a flat JSON object
-/// body.
-fn json_str_field(obj: &str, key: &str) -> Option<String> {
-    let after = &obj[obj.find(&format!("\"{key}\":"))? + key.len() + 3..];
-    let start = after.find('"')? + 1;
-    let end = start + after[start..].find('"')?;
-    Some(after[start..end].to_owned())
-}
-
-/// Extracts the numeric value of `"key": …` from a flat JSON object body.
-fn json_num_field(obj: &str, key: &str) -> Option<f64> {
-    let after = &obj[obj.find(&format!("\"{key}\":"))? + key.len() + 3..];
-    let end = after.find([',', '}', ']']).unwrap_or(after.len());
-    after[..end].trim().parse().ok()
-}
-
-/// The gate manifest: the `regression_gates` rows of the committed
-/// [`BENCH_JSON`] (the format this binary itself emits), the only
-/// source of gates. Without them no gate can run or be re-emitted, so
-/// the run stops with exit status 2, naming the file.
-fn committed_gates() -> Vec<Gate> {
-    let text = fs::read_to_string(BENCH_JSON).unwrap_or_else(|e| {
-        eprintln!("cannot read {BENCH_JSON}: {e}");
-        std::process::exit(2);
-    });
-    let parse = || -> Option<Vec<Gate>> {
-        let arr = &text[text.find("\"regression_gates\"")?..];
-        let arr = &arr[arr.find('[')? + 1..];
-        let arr = &arr[..arr.find(']')?];
-        let mut gates = Vec::new();
-        for obj in arr.split('{').skip(1) {
-            let obj = &obj[..obj.find('}')?];
-            gates.push(Gate {
-                metric: json_str_field(obj, "metric")?,
-                curve: json_str_field(obj, "curve")?,
-                baseline_ns: json_num_field(obj, "baseline_ns")?,
-                budget_pct: json_num_field(obj, "budget_pct")?,
-            });
-        }
-        (!gates.is_empty()).then_some(gates)
-    };
-    parse().unwrap_or_else(|| {
-        eprintln!("{BENCH_JSON} holds no well-formed `regression_gates` rows");
-        std::process::exit(2);
-    })
-}
-
-/// Distinct 256-point/full-width-scalar MSM inputs — the batch
-/// verification workload shape (aggregate BLS, KZG openings).
-fn msm_inputs(
-    curve: &Arc<Curve>,
-    n: u64,
-) -> (
-    Vec<finesse_curves::Affine<finesse_ff::Fp>>,
-    Vec<finesse_ff::BigUint>,
-) {
-    let g1 = curve.g1_generator();
-    let points = (0..n)
-        .map(|i| curve.g1_mul(g1, &finesse_ff::BigUint::from_u64(i * i + 3)))
-        .collect();
-    let scalars = (0..n)
-        .map(|i| {
-            finesse_ff::BigUint::from_u64(i.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
-                .modpow(&finesse_ff::BigUint::from_u64(5), curve.r())
-        })
-        .collect();
-    (points, scalars)
-}
-
-/// One BLS-shaped synthetic check `e(sig, G2) =? e(h, pk)`.
-type BatchCheck = (
-    finesse_curves::Affine<finesse_ff::Fp>,
-    finesse_curves::Affine<finesse_ff::Fq>,
-    finesse_curves::Affine<finesse_ff::Fp>,
-    finesse_curves::Affine<finesse_ff::Fq>,
-);
-
-/// `n` synthetic signature checks across `signers` distinct public keys
-/// — the deferred-accumulator serving workload. Message "hashes" are
-/// scalar multiples of the generator (hash-to-curve is not what the
-/// batch-verify metrics time).
-fn batch_checks(curve: &Arc<Curve>, n: u64, signers: u64) -> Vec<BatchCheck> {
-    use finesse_ff::BigUint;
-    let g1 = curve.g1_generator();
-    let g2 = curve.g2_generator();
-    let sks: Vec<BigUint> = (0..signers)
-        .map(|j| BigUint::from_u64(0xA5A5_0013 + j * 97).modpow(&BigUint::from_u64(3), curve.r()))
-        .collect();
-    let pks: Vec<_> = sks.iter().map(|sk| curve.g2_mul(g2, sk)).collect();
-    (0..n)
-        .map(|i| {
-            let j = (i % signers) as usize;
-            let h = curve.g1_mul(g1, &BigUint::from_u64(i * i + 0x5EED));
-            let sig = curve.g1_mul(&h, &sks[j]);
-            (sig, g2.clone(), h, pks[j].clone())
-        })
-        .collect()
-}
-
-/// Deterministic KZG bench fixture: a degree-255 SRS (riding the
-/// fixed-base comb) and a full 256-coefficient polynomial whose
-/// coefficients are successive powers of the bench scalar — every limb
-/// of every coefficient is live, so commit/open medians time the real
-/// MSM and synthetic-division work, not sparse shortcuts.
-fn kzg_fixture(curve: &Arc<Curve>) -> (finesse_poly::Srs, finesse_poly::Polynomial) {
-    let srs = finesse_poly::Srs::generate(curve, 255, b"finesse-bench-kzg");
-    let base = bench_scalar(curve);
-    let mut coeffs = Vec::with_capacity(256);
-    let mut c = finesse_ff::BigUint::from_u64(1);
-    for _ in 0..256 {
-        coeffs.push(c.clone());
-        c = (&c * &base).rem(curve.r());
-    }
-    let poly = finesse_poly::Polynomial::new(coeffs, curve.r());
-    (srs, poly)
-}
-
-/// The 8 opening points shared by the `kzg_open_batch_8` and
-/// `kzg_verify_batch_8` metrics.
-fn kzg_bench_points() -> Vec<finesse_ff::BigUint> {
-    (0..8u64)
-        .map(|i| finesse_ff::BigUint::from_u64(0x0BE2_0000 + i * 101))
-        .collect()
-}
-
-/// One G1 point with the line schedule of its G2 partner.
-type PreparedPair = (
-    finesse_curves::Affine<finesse_ff::Fp>,
-    Arc<finesse_pairing::G2Prepared>,
-);
-
-/// `n` distinct G1 points paired with `n` distinct G2 points prepared
-/// once up front — the input of one `multi_pair_prepared` settle whose
-/// line schedules are all already in hand.
-fn prepared_pairs(engine: &finesse_pairing::PairingEngine, n: u64) -> Vec<PreparedPair> {
-    use finesse_ff::BigUint;
-    let curve = engine.curve();
-    (0..n)
-        .map(|i| {
-            let p = curve.g1_mul(curve.g1_generator(), &BigUint::from_u64(i * i + 0x5EED));
-            let q = curve.g2_mul(curve.g2_generator(), &BigUint::from_u64(3 * i + 0xA11CE));
-            (p, engine.prepare_g2(&q))
-        })
-        .collect()
-}
-
-/// Median ns of one `multi_pair_prepared` over `pairs` on `threads`
-/// threads.
-fn multi_pair_prepared_ns(
-    engine: &finesse_pairing::PairingEngine,
-    pairs: &[PreparedPair],
-    threads: usize,
-) -> f64 {
-    use std::hint::black_box;
-    finesse_parallel::with_threads(threads, || {
+/// Every timed quantity, by name. The gate runner and the `--bench-json`
+/// emitter both measure through this table, so a gate and the emitted
+/// row of the same metric time the same code. Variable-base `g1_mul` and
+/// `g2_mul` use a non-generator base, so they time the GLV/GLS split;
+/// the generator routes through the comb, which the `_fixed` metrics
+/// time.
+const METRICS: &[(&str, Measure)] = &[
+    ("fp_mul", |curve| {
+        let (a, b) = (curve.fp().sample(1), curve.fp().sample(2));
         bench_ns(|| {
-            black_box(engine.multi_pair_prepared(black_box(pairs)));
+            black_box(black_box(&a) * black_box(&b));
         })
-    })
-}
-
-/// Settles one accumulator batch over `checks`; returns the verdict.
-fn settle_batch(engine: &finesse_pairing::PairingEngine, checks: &[BatchCheck]) -> bool {
-    let mut acc = finesse_pairing::PairingAccumulator::new(engine);
-    for (a, b, c, d) in checks {
-        acc.push_check(a, b, c, d);
-    }
-    acc.settle()
-}
-
-/// Re-measures one gateable metric's median on a curve. The `g1_mul`
-/// metric uses a non-generator base so it times the variable-base
-/// GLV/JSF path (the generator routes through the comb, which is what
-/// `g1_mul_fixed` times).
-fn measure_metric(metric: &str, curve: &Arc<Curve>) -> f64 {
-    use std::hint::black_box;
-    match metric {
-        "fq_mul" => {
-            let tower = curve.tower().clone();
-            let (qa, qb) = (tower.fq_sample(1), tower.fq_sample(2));
+    }),
+    ("fp_sqr", |curve| {
+        let a = curve.fp().sample(1);
+        bench_ns(|| {
+            black_box(black_box(&a).square());
+        })
+    }),
+    ("fq_mul", |curve| {
+        let tower = curve.tower();
+        let (qa, qb) = (tower.fq_sample(1), tower.fq_sample(2));
+        bench_ns(|| {
+            black_box(tower.fq_mul(black_box(&qa), black_box(&qb)));
+        })
+    }),
+    ("g1_mul", |curve| {
+        let (base, k) = (
+            curve.g1_mul(curve.g1_generator(), &BigUint::from_u64(7)),
+            bench_scalar(curve),
+        );
+        bench_ns(|| {
+            black_box(curve.g1_mul(black_box(&base), black_box(&k)));
+        })
+    }),
+    ("g1_mul_fixed", |curve| {
+        // The first call builds the lazy comb; the measurement then
+        // times steady-state fixed-base multiplications.
+        let (base, k) = (curve.g1_generator(), bench_scalar(curve));
+        black_box(curve.g1_mul(base, &k));
+        bench_ns(|| {
+            black_box(curve.g1_mul(black_box(base), black_box(&k)));
+        })
+    }),
+    ("g2_mul", |curve| {
+        let (base, k) = (
+            curve.g2_mul(curve.g2_generator(), &BigUint::from_u64(7)),
+            bench_scalar(curve),
+        );
+        bench_ns(|| {
+            black_box(curve.g2_mul(black_box(&base), black_box(&k)));
+        })
+    }),
+    ("g2_mul_fixed", |curve| {
+        let (base, k) = (curve.g2_generator(), bench_scalar(curve));
+        black_box(curve.g2_mul(base, &k));
+        bench_ns(|| {
+            black_box(curve.g2_mul(black_box(base), black_box(&k)));
+        })
+    }),
+    ("msm64", |curve| msm_ns(curve, 64)),
+    ("msm256", |curve| msm_ns(curve, 256)),
+    ("msm1024", |curve| msm_ns(curve, 1024)),
+    ("msm4096", |curve| msm_ns(curve, 4096)),
+    ("pairing", |curve| {
+        let engine = PairingEngine::new(Arc::clone(curve));
+        let (p, q) = (curve.g1_generator(), curve.g2_generator());
+        bench_ns(|| {
+            black_box(engine.pair(black_box(p), black_box(q)));
+        })
+    }),
+    ("miller_loop", |curve| {
+        let engine = PairingEngine::new(Arc::clone(curve));
+        let (p, q) = (curve.g1_generator(), curve.g2_generator());
+        bench_ns(|| {
+            black_box(engine.miller_loop(black_box(p), black_box(q)));
+        })
+    }),
+    ("final_exp", |curve| {
+        let engine = PairingEngine::new(Arc::clone(curve));
+        let f = engine.miller_loop(curve.g1_generator(), curve.g2_generator());
+        bench_ns(|| {
+            black_box(engine.final_exponentiation(black_box(&f)));
+        })
+    }),
+    ("batch_verify_8", |curve| batch_verify_ns(curve, 8)),
+    ("batch_verify_32", |curve| batch_verify_ns(curve, 32)),
+    ("sequential_verify_8", |curve| sequential_ns(curve, 8)),
+    ("sequential_verify_32", |curve| sequential_ns(curve, 32)),
+    ("kzg_commit_256", |curve| {
+        kzg_ns(curve, |kzg, poly| {
             bench_ns(|| {
-                black_box(tower.fq_mul(black_box(&qa), black_box(&qb)));
+                black_box(kzg.commit(black_box(poly)).expect("fixture poly fits SRS"));
             })
-        }
-        "g1_mul" => {
-            let k = bench_scalar(curve);
-            let base = curve.g1_mul(curve.g1_generator(), &finesse_ff::BigUint::from_u64(7));
-            bench_ns(|| {
-                black_box(curve.g1_mul(black_box(&base), black_box(&k)));
-            })
-        }
-        "g1_mul_fixed" => {
-            let k = bench_scalar(curve);
-            let g1 = curve.g1_generator();
-            // First call builds the lazy comb; the measurement then times
-            // steady-state fixed-base multiplications.
-            black_box(curve.g1_mul(g1, &k));
-            bench_ns(|| {
-                black_box(curve.g1_mul(black_box(g1), black_box(&k)));
-            })
-        }
-        "msm256" | "msm1024" | "msm4096" => {
-            let n: u64 = metric[3..].parse().expect("msmN metric names its size");
-            let (points, scalars) = msm_inputs(curve, n);
-            bench_ns(|| {
-                black_box(
-                    curve
-                        .g1_msm(black_box(&points), black_box(&scalars))
-                        .expect("msm inputs are same-length"),
-                );
-            })
-        }
-        "batch_verify_32" => {
-            let engine = finesse_pairing::PairingEngine::new(Arc::clone(curve));
-            let checks = batch_checks(curve, 32, 4);
-            // First settle warms the prepared-G2 cache: the gate times
-            // the steady-state serving path, where the generator's and
-            // the signers' line schedules are already cached.
-            assert!(settle_batch(&engine, &checks), "synthetic batch verifies");
-            bench_ns(|| {
-                black_box(settle_batch(&engine, black_box(&checks)));
-            })
-        }
-        "kzg_commit_256" => {
-            let engine = finesse_pairing::PairingEngine::new(Arc::clone(curve));
-            let (srs, poly) = kzg_fixture(curve);
-            let kzg = finesse_poly::Kzg::new(&engine, &srs).expect("fixture SRS matches engine");
-            bench_ns(|| {
-                black_box(kzg.commit(black_box(&poly)).expect("fixture poly fits SRS"));
-            })
-        }
-        "kzg_open_batch_8" => {
-            let engine = finesse_pairing::PairingEngine::new(Arc::clone(curve));
-            let (srs, poly) = kzg_fixture(curve);
-            let kzg = finesse_poly::Kzg::new(&engine, &srs).expect("fixture SRS matches engine");
-            let commitment = kzg.commit(&poly).expect("fixture poly fits SRS");
+        })
+    }),
+    ("kzg_open_batch_8", |curve| {
+        kzg_ns(curve, |kzg, poly| {
+            let commitment = kzg.commit(poly).expect("fixture poly fits SRS");
             let zs = kzg_bench_points();
             bench_ns(|| {
                 black_box(
-                    kzg.open_batch(black_box(&poly), black_box(&commitment), black_box(&zs))
+                    kzg.open_batch(black_box(poly), black_box(&commitment), black_box(&zs))
                         .expect("fixture openings succeed"),
                 );
             })
-        }
-        "kzg_verify_batch_8" => {
-            let engine = finesse_pairing::PairingEngine::new(Arc::clone(curve));
-            let (srs, poly) = kzg_fixture(curve);
-            let kzg = finesse_poly::Kzg::new(&engine, &srs).expect("fixture SRS matches engine");
-            let commitment = kzg.commit(&poly).expect("fixture poly fits SRS");
+        })
+    }),
+    ("kzg_verify_batch_8", |curve| {
+        kzg_ns(curve, |kzg, poly| {
+            let commitment = kzg.commit(poly).expect("fixture poly fits SRS");
             let claims: Vec<finesse_poly::Claim> = kzg_bench_points()
                 .iter()
                 .map(|z| {
                     Ok(finesse_poly::Claim::Single {
                         commitment: commitment.clone(),
-                        opening: kzg.open(&poly, z)?,
+                        opening: kzg.open(poly, z)?,
                     })
                 })
                 .collect::<Result<_, finesse_poly::PolyError>>()
@@ -451,34 +308,236 @@ fn measure_metric(metric: &str, curve: &Arc<Curve>) -> f64 {
             bench_ns(|| {
                 black_box(kzg.verify_batch(black_box(&claims)).is_ok());
             })
-        }
-        "decode_g2" => {
-            // A compressed non-generator key: the strict decode pays the
-            // F_q square root and the subgroup check, as on the wire.
-            let q = curve.g2_mul(curve.g2_generator(), &bench_scalar(curve));
-            let bytes = curve.encode_g2(&q, finesse_curves::Compression::Compressed);
-            bench_ns(|| {
-                black_box(curve.decode_g2(black_box(&bytes)).expect("honest encoding"));
-            })
-        }
-        "evaluate_point" => {
-            // The single-issue Figure 10 point without a write-back FIFO,
-            // so the scheduler and simulator pay for write-back ports.
-            let point = figure10_points(curve)
-                .into_iter()
-                .find(|p| p.label == "All karat. @ L38/S8 single-issue")
-                .expect("Figure 10 has the paper-latency single-issue point");
-            bench_ns(|| {
-                black_box(evaluate_point(curve, black_box(&point), 1).expect("point compiles"));
-            })
-        }
-        "multi_pair_prepared_30_t2" => {
-            let engine = finesse_pairing::PairingEngine::new(Arc::clone(curve));
-            let pairs = prepared_pairs(&engine, 30);
-            multi_pair_prepared_ns(&engine, &pairs, 2)
-        }
-        other => unreachable!("unvalidated metric `{other}`"),
+        })
+    }),
+    ("decode_g2", |curve| {
+        // A compressed non-generator key: the strict decode pays the
+        // F_q square root and the subgroup check, as on the wire.
+        let q = curve.g2_mul(curve.g2_generator(), &bench_scalar(curve));
+        let bytes = curve.encode_g2(&q, finesse_curves::Compression::Compressed);
+        bench_ns(|| {
+            black_box(curve.decode_g2(black_box(&bytes)).expect("honest encoding"));
+        })
+    }),
+    ("evaluate_point", |curve| {
+        // The single-issue Figure 10 point without a write-back FIFO,
+        // so the scheduler and simulator pay for write-back ports.
+        let point = figure10_points(curve)
+            .into_iter()
+            .find(|p| p.label == "All karat. @ L38/S8 single-issue")
+            .expect("Figure 10 has the paper-latency single-issue point");
+        bench_ns(|| {
+            black_box(evaluate_point(curve, black_box(&point), 1).expect("point compiles"));
+        })
+    }),
+    ("multi_pair_prepared_30", multi_pair_prepared_30_ns),
+    ("multi_pair_prepared_30_t2", |curve| {
+        with_threads(2, || multi_pair_prepared_30_ns(curve))
+    }),
+];
+
+/// Re-measures one metric of [`METRICS`] on a curve (callers pass table
+/// names or validated manifest rows).
+fn measure_metric(metric: &str, curve: &Arc<Curve>) -> f64 {
+    match METRICS.iter().find(|(name, _)| *name == metric) {
+        Some((_, measure)) => measure(curve),
+        None => unreachable!("unvalidated metric `{metric}`"),
     }
+}
+
+fn is_metric(name: &str) -> bool {
+    METRICS.iter().any(|(metric, _)| *metric == name)
+}
+
+/// Median ns of one `n`-point G1 MSM over distinct points and
+/// full-width scalars — the batch-verification workload shape (aggregate
+/// BLS, KZG openings). 256 points take the batch-affine Pippenger path,
+/// 1024 and 4096 its thread-sharded bucket pass.
+fn msm_ns(curve: &Arc<Curve>, n: u64) -> f64 {
+    let points: Vec<_> = (0..n)
+        .map(|i| curve.g1_mul(curve.g1_generator(), &BigUint::from_u64(i * i + 3)))
+        .collect();
+    let scalars: Vec<_> = (0..n)
+        .map(|i| {
+            BigUint::from_u64(i.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
+                .modpow(&BigUint::from_u64(5), curve.r())
+        })
+        .collect();
+    bench_ns(|| {
+        black_box(
+            curve
+                .g1_msm(black_box(&points), black_box(&scalars))
+                .expect("msm inputs are same-length"),
+        );
+    })
+}
+
+/// One BLS-shaped synthetic check `e(sig, G2) =? e(h, pk)`.
+type BatchCheck = (Affine<Fp>, Affine<Fq>, Affine<Fp>, Affine<Fq>);
+
+/// `n` synthetic signature checks across 4 distinct public keys — the
+/// deferred-accumulator serving workload. Message "hashes" are scalar
+/// multiples of the generator (hash-to-curve is not what the
+/// batch-verify metrics time).
+fn batch_checks(curve: &Arc<Curve>, n: u64) -> Vec<BatchCheck> {
+    let g1 = curve.g1_generator();
+    let g2 = curve.g2_generator();
+    let sks: Vec<BigUint> = (0..4)
+        .map(|j| BigUint::from_u64(0xA5A5_0013 + j * 97).modpow(&BigUint::from_u64(3), curve.r()))
+        .collect();
+    let pks: Vec<_> = sks.iter().map(|sk| curve.g2_mul(g2, sk)).collect();
+    (0..n)
+        .map(|i| {
+            let j = (i % 4) as usize;
+            let h = curve.g1_mul(g1, &BigUint::from_u64(i * i + 0x5EED));
+            let sig = curve.g1_mul(&h, &sks[j]);
+            (sig, g2.clone(), h, pks[j].clone())
+        })
+        .collect()
+}
+
+/// Median ns of one accumulator settle over `n` checks: prepared-G2
+/// Miller loops, 128-bit RLC weights, short-scalar MSMs and one final
+/// exponentiation.
+fn batch_verify_ns(curve: &Arc<Curve>, n: u64) -> f64 {
+    let engine = PairingEngine::new(Arc::clone(curve));
+    let checks = batch_checks(curve, n);
+    let settle = |checks: &[BatchCheck]| {
+        let mut acc = finesse_pairing::PairingAccumulator::new(&engine);
+        for (a, b, c, d) in checks {
+            acc.push_check(a, b, c, d);
+        }
+        acc.settle()
+    };
+    // The first settle warms the prepared-G2 cache: the metric times the
+    // steady-state serving path, where the generator's and the signers'
+    // line schedules are already cached.
+    assert!(settle(&checks), "synthetic batch verifies");
+    bench_ns(|| {
+        black_box(settle(black_box(&checks)));
+    })
+}
+
+/// Median ns of verifying the same `n` checks one by one, two full
+/// pairings each: the baseline the accumulator is measured against.
+fn sequential_ns(curve: &Arc<Curve>, n: u64) -> f64 {
+    let engine = PairingEngine::new(Arc::clone(curve));
+    let checks = batch_checks(curve, n);
+    bench_ns(|| {
+        for (sig, g2, h, pk) in &checks {
+            black_box(
+                engine.pair(black_box(sig), black_box(g2))
+                    == engine.pair(black_box(h), black_box(pk)),
+            );
+        }
+    })
+}
+
+/// Runs `time` on the deterministic KZG bench fixture: a degree-255 SRS
+/// (riding the fixed-base comb) and a full 256-coefficient polynomial
+/// whose coefficients are successive powers of the bench scalar — every
+/// limb of every coefficient is live, so commit/open medians time the
+/// real MSM and synthetic-division work, not sparse shortcuts.
+fn kzg_ns(curve: &Arc<Curve>, time: impl FnOnce(&Kzg, &Polynomial) -> f64) -> f64 {
+    let engine = PairingEngine::new(Arc::clone(curve));
+    let srs = finesse_poly::Srs::generate(curve, 255, b"finesse-bench-kzg");
+    let base = bench_scalar(curve);
+    let mut coeffs = Vec::with_capacity(256);
+    let mut c = BigUint::from_u64(1);
+    for _ in 0..256 {
+        coeffs.push(c.clone());
+        c = (&c * &base).rem(curve.r());
+    }
+    let kzg = Kzg::new(&engine, &srs).expect("fixture SRS matches engine");
+    time(&kzg, &Polynomial::new(coeffs, curve.r()))
+}
+
+/// The 8 opening points shared by the `kzg_open_batch_8` and
+/// `kzg_verify_batch_8` metrics.
+fn kzg_bench_points() -> Vec<BigUint> {
+    (0..8u64)
+        .map(|i| BigUint::from_u64(0x0BE2_0000 + i * 101))
+        .collect()
+}
+
+/// Median ns of one `multi_pair_prepared` settle over 30 distinct G1
+/// points paired with 30 distinct G2 points whose line schedules are
+/// prepared up front, on the current thread budget.
+fn multi_pair_prepared_30_ns(curve: &Arc<Curve>) -> f64 {
+    let engine = PairingEngine::new(Arc::clone(curve));
+    let pairs: Vec<_> = (0..30u64)
+        .map(|i| {
+            let p = curve.g1_mul(curve.g1_generator(), &BigUint::from_u64(i * i + 0x5EED));
+            let q = curve.g2_mul(curve.g2_generator(), &BigUint::from_u64(3 * i + 0xA11CE));
+            (p, engine.prepare_g2(&q))
+        })
+        .collect();
+    bench_ns(|| {
+        black_box(engine.multi_pair_prepared(black_box(&pairs)));
+    })
+}
+
+/// A full-width deterministic bench scalar in `[0, r)` (cubing mod r
+/// fills the full width of every Table 2 group order).
+fn bench_scalar(curve: &Arc<Curve>) -> BigUint {
+    BigUint::from_hex("e4c91a3bf3a77d9f1a4b5c6d7e8f90123456789abcdef0fedcba98765432100f")
+        .expect("literal parses")
+        .modpow(&BigUint::from_u64(3), curve.r())
+}
+
+/// One row of the regression-gate manifest.
+#[derive(Clone, Debug, PartialEq)]
+struct Gate {
+    metric: String,
+    curve: String,
+    baseline_ns: f64,
+    budget_pct: f64,
+}
+
+/// The `regression_gates` rows of a bench emission, read with the cost
+/// model's scanner. Every row must carry the four fields and name a
+/// metric of [`METRICS`] and a Table-2 curve, so a bad manifest is
+/// refused before any gate is timed; the error names the first bad row.
+fn parse_gates(text: &str) -> Result<Vec<Gate>, String> {
+    let rows = bench_rows(text, "regression_gates").unwrap_or_default();
+    if rows.is_empty() {
+        return Err("no `regression_gates` rows".into());
+    }
+    let mut gates = Vec::with_capacity(rows.len());
+    for (i, row) in rows.into_iter().enumerate() {
+        let gate = || -> Option<Gate> {
+            Some(Gate {
+                metric: str_field(row, "metric")?,
+                curve: str_field(row, "curve")?,
+                baseline_ns: num_field(row, "baseline_ns")?,
+                budget_pct: num_field(row, "budget_pct")?,
+            })
+        };
+        let problem = match gate() {
+            None => "lacks metric, curve, baseline_ns or budget_pct".into(),
+            Some(g) if !is_metric(&g.metric) => format!("names unknown metric `{}`", g.metric),
+            Some(g) if spec_by_name(&g.curve).is_none() => {
+                format!("names unknown curve `{}`", g.curve)
+            }
+            Some(g) => {
+                gates.push(g);
+                continue;
+            }
+        };
+        return Err(format!("`regression_gates` row {}: {problem}", i + 1));
+    }
+    Ok(gates)
+}
+
+/// The gate manifest: the `regression_gates` rows of the committed
+/// [`BENCH_JSON`] (the format this binary itself emits), the only
+/// source of gates. Without well-formed, valid rows no gate can run or
+/// be re-emitted, so the run stops with exit status 2, naming the file.
+fn committed_gates() -> Vec<Gate> {
+    fs::read_to_string(BENCH_JSON)
+        .map_err(|e| e.to_string())
+        .and_then(|text| parse_gates(&text))
+        .unwrap_or_else(|e| exit_usage(format!("{BENCH_JSON}: {e}")))
 }
 
 /// Runs one gate; returns `(measured_ns, delta_pct, pass)`.
@@ -489,10 +548,55 @@ fn run_gate(gate: &Gate) -> (f64, f64, bool) {
     (measured, delta_pct, delta_pct <= gate.budget_pct)
 }
 
-/// `--bench-regress all`: the manifest-driven CI gate. Prints one
-/// pass/fail row per manifest entry and exits non-zero on any breach.
-fn bench_regress_all() -> i32 {
-    let gates = committed_gates();
+/// The gates a `--bench-regress` command line selects from the manifest:
+/// `all`, or `[METRIC] CURVE [MAX_PCT]` — one gate (the metric defaults
+/// to `fq_mul` and the curve to BLS24-509, keeping the historic CLI
+/// shape working) with its budget overridden by `MAX_PCT`. The error
+/// names an unknown curve, a gate the manifest lacks, or a `MAX_PCT`
+/// that is not a finite number.
+fn select_gates(rest: &[String], manifest: &[Gate]) -> Result<Vec<Gate>, String> {
+    let mut rest = rest.iter().map(String::as_str).peekable();
+    if rest.next_if_eq(&"all").is_some() {
+        return Ok(manifest.to_vec());
+    }
+    let metric = rest.next_if(|a| is_metric(a)).unwrap_or("fq_mul");
+    let curve = curve_arg(rest.next().unwrap_or("BLS24-509"))?;
+    let mut gate = manifest
+        .iter()
+        .find(|g| g.metric == metric && g.curve == curve)
+        .cloned()
+        .ok_or_else(|| {
+            format!(
+                "no gate for ({metric}, {curve}) in the manifest; add a row to \
+                 {BENCH_JSON} `regression_gates`"
+            )
+        })?;
+    if let Some(pct) = rest.next() {
+        gate.budget_pct = pct
+            .parse()
+            .ok()
+            .filter(|p: &f64| p.is_finite())
+            .ok_or_else(|| format!("max regression `{pct}` is not a number"))?;
+    }
+    Ok(vec![gate])
+}
+
+/// The Table-2 name of a curve given on the command line.
+fn curve_arg(which: &str) -> Result<&'static str, String> {
+    spec_by_name(which).map(|s| s.name).ok_or_else(|| {
+        format!(
+            "unknown curve `{which}`; expected one of {:?}",
+            all_specs().map(|s| s.name)
+        )
+    })
+}
+
+/// `--bench-regress`, the manifest-driven CI gate: checks the arguments
+/// and the whole manifest before anything is timed, then re-measures the
+/// selected gates, prints one pass/fail row per gate, and returns 1 on
+/// any breach.
+fn bench_regress_cli(rest: &[String]) -> i32 {
+    let gates = select_gates(rest, &committed_gates()).unwrap_or_else(|e| exit_usage(e));
     println!("regression gates from {BENCH_JSON}:");
     let mut t = TextTable::new(&[
         "metric",
@@ -505,10 +609,6 @@ fn bench_regress_all() -> i32 {
     ]);
     let mut failures = 0;
     for gate in &gates {
-        if !METRICS.contains(&gate.metric.as_str()) {
-            eprintln!("unknown metric `{}` in gate manifest", gate.metric);
-            return 2;
-        }
         let (measured, delta_pct, pass) = run_gate(gate);
         if !pass {
             failures += 1;
@@ -530,66 +630,6 @@ fn bench_regress_all() -> i32 {
     }
     println!("all {} gates passed", gates.len());
     0
-}
-
-/// `--bench-regress` CLI: `all` runs the whole manifest; the one-off form
-/// `[METRIC] CURVE [MAX_PCT]` re-measures a single metric against its
-/// manifest baseline (metric defaults to `fq_mul`, keeping the historic
-/// CLI shape working; `MAX_PCT` overrides the manifest budget).
-fn bench_regress_cli(rest: &[String]) -> i32 {
-    if rest.first().map(String::as_str) == Some("all") {
-        return bench_regress_all();
-    }
-    let mut rest = rest.to_vec();
-    let metric = if rest.first().is_some_and(|a| METRICS.contains(&a.as_str())) {
-        rest.remove(0)
-    } else {
-        "fq_mul".to_owned()
-    };
-    let which = rest.first().cloned().unwrap_or_else(|| "BLS24-509".into());
-    let Some(name) = spec_by_name(&which).map(|s| s.name) else {
-        eprintln!(
-            "unknown curve `{which}`; expected one of {:?}",
-            all_specs().map(|s| s.name)
-        );
-        return 2;
-    };
-    let manifest = committed_gates();
-    let Some(gate) = manifest
-        .iter()
-        .find(|g| g.metric == metric && g.curve == name)
-    else {
-        eprintln!(
-            "no gate for ({metric}, {name}) in the manifest; add a row to \
-             results/BENCH_fieldops.json `regression_gates`"
-        );
-        return 2;
-    };
-    let mut gate = gate.clone();
-    if let Some(pct) = rest.get(1) {
-        gate.budget_pct = pct.parse().expect("max regression must be a number");
-    }
-    let (measured, delta_pct, pass) = run_gate(&gate);
-    println!(
-        "{metric} {name}: measured {measured:.1} ns vs committed baseline {:.1} ns \
-         ({delta_pct:+.1}%, limit +{:.0}%)",
-        gate.baseline_ns, gate.budget_pct
-    );
-    if !pass {
-        eprintln!("REGRESSION: {metric} {name} is {delta_pct:.1}% slower than the baseline");
-        return 1;
-    }
-    0
-}
-
-/// A full-width deterministic bench scalar in `[0, r)` (cubing mod r
-/// fills the full width of every Table 2 group order).
-fn bench_scalar(curve: &Arc<Curve>) -> finesse_ff::BigUint {
-    finesse_ff::BigUint::from_hex(
-        "e4c91a3bf3a77d9f1a4b5c6d7e8f90123456789abcdef0fedcba98765432100f",
-    )
-    .expect("literal parses")
-    .modpow(&finesse_ff::BigUint::from_u64(3), curve.r())
 }
 
 /// The current git commit (short hash), or `unknown` outside a work tree.
@@ -623,209 +663,141 @@ fn iso_date_utc() -> String {
     format!("{y:04}-{m:02}-{d:02}")
 }
 
-/// `--bench-json`: field-substrate and group-layer microbenchmarks as
-/// machine-readable JSON (one row per requested Table-2 curve), stamped
-/// with the emitting commit and date.
-fn bench_fieldops_json(which: &str) -> String {
-    use finesse_pairing::PairingEngine;
-    use std::hint::black_box;
+/// A `(field, metric, decimals)` column of an emitted row.
+type Field = (&'static str, &'static str, usize);
 
-    let selected: Vec<&str> = if which == "all" {
+/// The measured columns of a `curves[]` row, one per Table-2 curve.
+const CURVE_FIELDS: [Field; 14] = [
+    ("fp_mul_ns", "fp_mul", 1),
+    ("fp_sqr_ns", "fp_sqr", 1),
+    ("fq_mul_ns", "fq_mul", 1),
+    ("g1_mul_ns", "g1_mul", 0),
+    ("g1_mul_fixed_ns", "g1_mul_fixed", 0),
+    ("g2_mul_ns", "g2_mul", 0),
+    ("g2_mul_fixed_ns", "g2_mul_fixed", 0),
+    ("msm64_g1_ns", "msm64", 0),
+    ("msm256_g1_ns", "msm256", 0),
+    ("msm1024_g1_ns", "msm1024", 0),
+    ("msm4096_g1_ns", "msm4096", 0),
+    ("pairing_ns", "pairing", 0),
+    ("miller_loop_ns", "miller_loop", 0),
+    ("final_exp_ns", "final_exp", 0),
+];
+
+/// The measured columns of a `kzg.rows[]` row.
+const KZG_FIELDS: [Field; 3] = [
+    ("commit_256_ns", "kzg_commit_256", 0),
+    ("open_batch_8_ns", "kzg_open_batch_8", 0),
+    ("verify_batch_8_ns", "kzg_verify_batch_8", 0),
+];
+
+/// A metric's median on a curve, as the emission reads it.
+type Measurer<'a> = &'a mut dyn FnMut(&str, &Arc<Curve>) -> f64;
+
+/// One emitted row: the curve's name, the `extra` fields, then `fields`
+/// measured through `ns`.
+fn measured_row(ns: Measurer, curve: &Arc<Curve>, extra: &str, fields: &[Field]) -> String {
+    let mut row = format!("    {{\"curve\": \"{}\"{extra}", curve.name());
+    for &(field, metric, decimals) in fields {
+        let _ = write!(row, ", \"{field}\": {:.decimals$}", ns(metric, curve));
+    }
+    row + "}"
+}
+
+/// `--bench-json`: times every row of the emission through
+/// [`measure_metric`], stamped with the emitting commit and date.
+fn bench_fieldops_json(which: &str) -> String {
+    let curves: Vec<&str> = if which == "all" {
         all_specs().map(|s| s.name).to_vec()
     } else {
-        vec![spec_by_name(which).map(|s| s.name).unwrap_or_else(|| {
-            eprintln!(
-                "unknown curve `{which}`; expected one of {:?} or `all`",
-                all_specs().map(|s| s.name)
-            );
-            std::process::exit(2);
-        })]
+        vec![curve_arg(which).unwrap_or_else(|e| exit_usage(format!("{e} or `all`")))]
     };
     // The emission carries the committed gate manifest unchanged; read
     // it before timing anything.
     let gates = committed_gates();
+    render_emission(
+        &curves,
+        &gates,
+        [&git_commit(), &iso_date_utc()],
+        finesse_parallel::hardware_threads(),
+        &mut measure_metric,
+    )
+}
 
+/// The bench emission for `curves`, stamped `[commit, date]`, with every
+/// number read from `ns` (or derived from numbers read from it) and the
+/// thread axis of `parallel_scaling` ending at `hw_threads`.
+fn render_emission(
+    curves: &[&str],
+    gates: &[Gate],
+    [commit, date]: [&str; 2],
+    hw_threads: usize,
+    ns: Measurer,
+) -> String {
     let mut rows = Vec::new();
-    for name in selected {
+    for &name in curves {
         let curve = Curve::by_name(name);
-        let fp = curve.fp();
-        let tower = curve.tower().clone();
-        let (a, b) = (fp.sample(1), fp.sample(2));
-        let fp_mul = bench_ns(|| {
-            black_box(black_box(&a) * black_box(&b));
-        });
-        let fp_sqr = bench_ns(|| {
-            black_box(black_box(&a).square());
-        });
-        let (qa, qb) = (tower.fq_sample(1), tower.fq_sample(2));
-        let fq_mul = bench_ns(|| {
-            black_box(tower.fq_mul(black_box(&qa), black_box(&qb)));
-        });
-        let k = bench_scalar(&curve);
-        let (g1, g2) = (curve.g1_generator(), curve.g2_generator());
-        // Variable-base rows use non-generator bases (the GLV/GLS split
-        // paths); the `_fixed` rows time the cached-generator comb.
-        let h1 = curve.g1_mul(g1, &finesse_ff::BigUint::from_u64(7));
-        let h2 = curve.g2_mul(g2, &finesse_ff::BigUint::from_u64(7));
-        let g1_mul = bench_ns(|| {
-            black_box(curve.g1_mul(black_box(&h1), black_box(&k)));
-        });
-        let g1_mul_fixed = bench_ns(|| {
-            black_box(curve.g1_mul(black_box(g1), black_box(&k)));
-        });
-        let g2_mul = bench_ns(|| {
-            black_box(curve.g2_mul(black_box(&h2), black_box(&k)));
-        });
-        let g2_mul_fixed = bench_ns(|| {
-            black_box(curve.g2_mul(black_box(g2), black_box(&k)));
-        });
-        // 64- to 4096-point G1 MSMs over distinct points and full-width
-        // scalars — the batch-verification workload (aggregate BLS, KZG
-        // openings); 256 points exercise the batch-affine Pippenger path
-        // and 1024/4096 the thread-sharded bucket pass.
-        let msm_ns = |n: u64| {
-            let (msm_points, msm_scalars) = msm_inputs(&curve, n);
-            bench_ns(|| {
-                black_box(
-                    curve
-                        .g1_msm(black_box(&msm_points), black_box(&msm_scalars))
-                        .expect("msm inputs are same-length"),
-                );
-            })
-        };
-        let msm64 = msm_ns(64);
-        let msm256 = msm_ns(256);
-        let msm1024 = msm_ns(1024);
-        let msm4096 = msm_ns(4096);
-        let engine = PairingEngine::new(curve.clone());
-        let pairing = bench_ns(|| {
-            black_box(engine.pair(black_box(g1), black_box(g2)));
-        });
-        rows.push(format!(
-            "    {{\"curve\": \"{name}\", \"p_bits\": {}, \"limbs\": {}, \
-             \"fp_mul_ns\": {fp_mul:.1}, \"fp_sqr_ns\": {fp_sqr:.1}, \
-             \"fq_mul_ns\": {fq_mul:.1}, \"g1_mul_ns\": {g1_mul:.0}, \
-             \"g1_mul_fixed_ns\": {g1_mul_fixed:.0}, \
-             \"g2_mul_ns\": {g2_mul:.0}, \"g2_mul_fixed_ns\": {g2_mul_fixed:.0}, \
-             \"msm64_g1_ns\": {msm64:.0}, \"msm256_g1_ns\": {msm256:.0}, \
-             \"msm1024_g1_ns\": {msm1024:.0}, \"msm4096_g1_ns\": {msm4096:.0}, \
-             \"pairing_ns\": {pairing:.0}}}",
+        let extra = format!(
+            ", \"p_bits\": {}, \"limbs\": {}",
             curve.p().bits(),
-            fp.width(),
-        ));
+            curve.fp().width()
+        );
+        rows.push(measured_row(ns, &curve, &extra, &CURVE_FIELDS));
     }
-
-    // Scaling-vs-cores report on the headline curves: the same msm4096
-    // and 30-pair prepared multi-pairing workloads re-timed with the
-    // thread budget pinned to 1, 2, 4, and the hardware count. On a
-    // single-core runner every row degenerates to the serial path — the
-    // emitted `hardware_threads` makes that visible instead of implying a
-    // failed speedup.
-    let scaling_rows = {
-        let threads_axis = {
-            let hw = finesse_parallel::hardware_threads();
-            let mut axis = vec![1usize, 2, 4];
-            if !axis.contains(&hw) {
-                axis.push(hw);
-            }
-            axis
-        };
-        let mut entries = Vec::new();
-        for name in ["BN254N", "BLS12-381"] {
-            if which != "all" && !name.eq_ignore_ascii_case(which) {
-                continue;
-            }
-            let curve = Curve::by_name(name);
-            let (points, scalars) = msm_inputs(&curve, 4096);
-            for &t in &threads_axis {
-                let ns = finesse_parallel::with_threads(t, || {
-                    bench_ns(|| {
-                        black_box(
-                            curve
-                                .g1_msm(black_box(&points), black_box(&scalars))
-                                .expect("msm inputs are same-length"),
-                        );
-                    })
-                });
-                entries.push(format!(
-                    "    {{\"curve\": \"{name}\", \"metric\": \"msm4096\", \
-                     \"threads\": {t}, \"ns\": {ns:.0}}}"
-                ));
-            }
-            let engine = PairingEngine::new(curve.clone());
-            let pairs = prepared_pairs(&engine, 30);
-            for &t in &threads_axis {
-                let ns = multi_pair_prepared_ns(&engine, &pairs, t);
-                entries.push(format!(
-                    "    {{\"curve\": \"{name}\", \"metric\": \"multi_pair_prepared_30\", \
-                     \"threads\": {t}, \"ns\": {ns:.0}}}"
-                ));
-            }
-        }
-        entries.join(",\n")
-    };
+    // The headline curves, when selected, get three more blocks.
+    let headline: Vec<Arc<Curve>> = ["BN254N", "BLS12-381"]
+        .into_iter()
+        .filter(|name| curves.contains(name))
+        .map(Curve::by_name)
+        .collect();
 
     // Deferred batch verification vs the sequential baseline: n
-    // BLS-shaped checks against 4 signers, settled with one accumulator
-    // (5 prepared Miller loops + 1 final exponentiation + short-scalar
-    // MSMs) vs n independent 2-pairing verifications.
-    let batch_verify_rows = {
-        let mut entries = Vec::new();
-        for name in ["BN254N", "BLS12-381"] {
-            if which != "all" && !name.eq_ignore_ascii_case(which) {
-                continue;
-            }
-            let curve = Curve::by_name(name);
-            let engine = PairingEngine::new(curve.clone());
-            for n in [8u64, 32] {
-                let checks = batch_checks(&curve, n, 4);
-                assert!(settle_batch(&engine, &checks), "synthetic batch verifies");
-                let batched = bench_ns(|| {
-                    black_box(settle_batch(&engine, black_box(&checks)));
-                });
-                let sequential = bench_ns(|| {
-                    for (sig, g2, h, pk) in &checks {
-                        black_box(
-                            engine.pair(black_box(sig), black_box(g2))
-                                == engine.pair(black_box(h), black_box(pk)),
-                        );
-                    }
-                });
-                entries.push(format!(
-                    "    {{\"curve\": \"{name}\", \"n\": {n}, \"signers\": 4, \
-                     \"batched_ns\": {batched:.0}, \"sequential_ns\": {sequential:.0}, \
-                     \"amortized_ns_per_check\": {:.0}, \"speedup\": {:.1}}}",
-                    batched / n as f64,
-                    sequential / batched,
+    // BLS-shaped checks against 4 signers.
+    let mut batch_verify_rows = Vec::new();
+    for curve in &headline {
+        for n in [8u64, 32] {
+            let batched = ns(&format!("batch_verify_{n}"), curve);
+            let sequential = ns(&format!("sequential_verify_{n}"), curve);
+            batch_verify_rows.push(format!(
+                "    {{\"curve\": \"{}\", \"n\": {n}, \"signers\": 4, \
+                 \"batched_ns\": {batched:.0}, \"sequential_ns\": {sequential:.0}, \
+                 \"amortized_ns_per_check\": {:.0}, \"speedup\": {:.1}}}",
+                curve.name(),
+                batched / n as f64,
+                sequential / batched,
+            ));
+        }
+    }
+
+    let kzg_rows: Vec<String> = headline
+        .iter()
+        .map(|curve| measured_row(ns, curve, "", &KZG_FIELDS))
+        .collect();
+
+    // Scaling with cores: msm4096 and the 30-pair prepared
+    // multi-pairing re-timed with the thread budget pinned to 1, 2, 4
+    // and the hardware count. On a single-core runner every row
+    // degenerates to the serial path — the emitted `hardware_threads`
+    // makes that visible instead of implying a failed speedup.
+    let mut threads_axis = vec![1usize, 2, 4];
+    if !threads_axis.contains(&hw_threads) {
+        threads_axis.push(hw_threads);
+    }
+    let mut scaling_rows = Vec::new();
+    for curve in &headline {
+        for metric in ["msm4096", "multi_pair_prepared_30"] {
+            for &t in &threads_axis {
+                let median = with_threads(t, || ns(metric, curve));
+                scaling_rows.push(format!(
+                    "    {{\"curve\": \"{}\", \"metric\": \"{metric}\", \
+                     \"threads\": {t}, \"ns\": {median:.0}}}",
+                    curve.name()
                 ));
             }
         }
-        entries.join(",\n")
-    };
+    }
 
-    // KZG polynomial-commitment serving metrics on the headline curves:
-    // commit to a full 256-coefficient polynomial, produce one batched
-    // proof for 8 points, and settle 8 single-opening claims through the
-    // accumulator (two prepared Miller loops + one final exponentiation).
-    let kzg_rows = {
-        let mut entries = Vec::new();
-        for name in ["BN254N", "BLS12-381"] {
-            if which != "all" && !name.eq_ignore_ascii_case(which) {
-                continue;
-            }
-            let curve = Curve::by_name(name);
-            let commit = measure_metric("kzg_commit_256", &curve);
-            let open_batch = measure_metric("kzg_open_batch_8", &curve);
-            let verify_batch = measure_metric("kzg_verify_batch_8", &curve);
-            entries.push(format!(
-                "    {{\"curve\": \"{name}\", \"commit_256_ns\": {commit:.0}, \
-                 \"open_batch_8_ns\": {open_batch:.0}, \"verify_batch_8_ns\": {verify_batch:.0}}}"
-            ));
-        }
-        entries.join(",\n")
-    };
-
-    let gates = gates
+    let gates: Vec<String> = gates
         .iter()
         .map(|g| {
             format!(
@@ -833,20 +805,20 @@ fn bench_fieldops_json(which: &str) -> String {
                 g.metric, g.curve, g.baseline_ns, g.budget_pct
             )
         })
-        .collect::<Vec<_>>()
-        .join(",\n");
+        .collect();
     format!(
-        "{{\n  \"schema\": \"finesse-bench-fieldops/v6\",\n  \"harness\": \"median of 5 batches, ns per op\",\n  \"commit\": \"{}\",\n  \"date\": \"{}\",\n\
+        "{{\n  \"schema\": \"finesse-bench-fieldops/v6\",\n  \"harness\": \"median of 5 batches, ns per op\",\n  \"commit\": \"{commit}\",\n  \"date\": \"{date}\",\n\
          \n  \"cost_model\": {{\n    \"consumer\": \"finesse_ir::cost::CostModel::from_bench_json\",\n    \"provenance\": \"measured medians; dse/experiments price the software column of table2/fig2 from the pairing_ns rows\",\n    \"consumed_fields\": [\"pairing_ns\"]\n  }},\n\
-         \n  \"regression_gates\": [\n{gates}\n  ],\n\
+         \n  \"regression_gates\": [\n{}\n  ],\n\
          \n  \"curves\": [\n{}\n  ],\n\
-         \n  \"batch_verify\": {{\n    \"note\": \"n BLS-shaped checks e(sig,G2)=?e(h,pk) against 4 signers: one PairingAccumulator settle (prepared-G2 Miller loops, 128-bit RLC weights, short-scalar MSMs, one final exponentiation) vs n sequential 2-pairing verifications\",\n    \"rows\": [\n{batch_verify_rows}\n    ]\n  }},\n\
-         \n  \"kzg\": {{\n    \"note\": \"finesse-poly serving path: commit = [p(tau)]G1 over a 256-coefficient polynomial (msm256 on the SRS powers); open_batch = one BDFG20 proof pair for 8 points; verify_batch = 8 single-opening claims settled in two cached Miller loops (fixed-G2 form, warm prepared cache)\",\n    \"rows\": [\n{kzg_rows}\n    ]\n  }},\n\
-         \n  \"parallel_scaling\": {{\n    \"note\": \"msm4096 and multi_pair_prepared_30 (30 warm prepared pairs, one final exponentiation) re-timed with the FINESSE_THREADS budget pinned per row; hardware_threads is the emitting machine's available parallelism — rows at or above it cannot speed up further\",\n    \"hardware_threads\": {},\n    \"rows\": [\n{scaling_rows}\n    ]\n  }}\n}}\n",
-        git_commit(),
-        iso_date_utc(),
+         \n  \"batch_verify\": {{\n    \"note\": \"n BLS-shaped checks e(sig,G2)=?e(h,pk) against 4 signers: one PairingAccumulator settle (prepared-G2 Miller loops, 128-bit RLC weights, short-scalar MSMs, one final exponentiation) vs n sequential 2-pairing verifications\",\n    \"rows\": [\n{}\n    ]\n  }},\n\
+         \n  \"kzg\": {{\n    \"note\": \"finesse-poly serving path: commit = [p(tau)]G1 over a 256-coefficient polynomial (msm256 on the SRS powers); open_batch = one BDFG20 proof pair for 8 points; verify_batch = 8 single-opening claims settled in two cached Miller loops (fixed-G2 form, warm prepared cache)\",\n    \"rows\": [\n{}\n    ]\n  }},\n\
+         \n  \"parallel_scaling\": {{\n    \"note\": \"msm4096 and multi_pair_prepared_30 (30 warm prepared pairs, one final exponentiation) re-timed with the FINESSE_THREADS budget pinned per row; hardware_threads is the emitting machine's available parallelism — rows at or above it cannot speed up further\",\n    \"hardware_threads\": {hw_threads},\n    \"rows\": [\n{}\n    ]\n  }}\n}}\n",
+        gates.join(",\n"),
         rows.join(",\n"),
-        finesse_parallel::hardware_threads(),
+        batch_verify_rows.join(",\n"),
+        kzg_rows.join(",\n"),
+        scaling_rows.join(",\n"),
     )
 }
 
@@ -974,29 +946,8 @@ fn table3() -> String {
 /// Table 6: comparison against FlexiPair (FPGA) and Ikeda (ASIC).
 fn table6() -> String {
     let curve = Curve::by_name("BN254N");
-    let variants = default_variants(&curve);
     let hw = HwModel::paper_default();
-    let e1 = evaluate_point(
-        &curve,
-        &DesignPoint {
-            label: "1-core".into(),
-            variants: variants.clone(),
-            hw: hw.clone(),
-        },
-        1,
-    )
-    .expect("evaluate");
-    let e8 = evaluate_point(
-        &curve,
-        &DesignPoint {
-            label: "8-core".into(),
-            variants,
-            hw: hw.clone(),
-        },
-        8,
-    )
-    .expect("evaluate");
-
+    // One program: the 1-core and 8-core designs run the same image.
     let compiled = compile_pairing(
         &curve,
         &default_variants(&curve),
@@ -1004,6 +955,8 @@ fn table6() -> String {
         &CompileOptions::default(),
     )
     .unwrap();
+    let e1 = evaluate_compiled(&curve, &compiled, 1).expect("evaluate");
+    let e8 = evaluate_compiled(&curve, &compiled, 8).expect("evaluate");
     let fpga = fpga_utilization(
         &hw,
         &AreaInputs {
@@ -1068,8 +1021,7 @@ fn table6() -> String {
         format!("{:.1} kops", IKEDA_ASSCC19.throughput_ops() / 1000.0),
         format!("{:.2} kops/mm2", IKEDA_ASSCC19.kops_per_mm2()),
     ]);
-    for (label, e, cores) in [("Ours (1-core)", &e1, 1u32), ("Ours (8-core)", &e8, 8)] {
-        let _ = cores;
+    for (label, e) in [("Ours (1-core)", &e1), ("Ours (8-core)", &e8)] {
         t.row(vec![
             label.into(),
             "ASIC 40nm LP".into(),
@@ -1474,4 +1426,184 @@ fn fig12() -> String {
         e4.latency_us,
         e4.throughput_ops / 1000.0,
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The committed emission: the manifest CI gates on and the medians
+    /// the co-design exhibits price against.
+    const COMMITTED: &str = include_str!("../../../../results/BENCH_fieldops.json");
+
+    fn args(words: &[&str]) -> Vec<String> {
+        words.iter().map(|w| w.to_string()).collect()
+    }
+
+    #[test]
+    fn committed_manifest_is_valid() {
+        let gates = parse_gates(COMMITTED).expect("the committed manifest validates");
+        assert_eq!(gates.len(), 18);
+    }
+
+    #[test]
+    fn manifest_rows_are_read_whole_and_checked() {
+        let manifest = |rows: &str| format!("{{\"regression_gates\": [\n{rows}\n]}}");
+        let good =
+            r#"{"metric": "fq_mul", "curve": "BN254N", "baseline_ns": 1.5, "budget_pct": 10}"#;
+        // A nested array in the first row does not end the manifest.
+        let nested = r#"{"metric": "msm256", "curve": "BLS12-381", "tags": ["x"], "baseline_ns": 2, "budget_pct": 30}"#;
+        let gates = parse_gates(&manifest(&format!("{nested},\n{good}"))).unwrap();
+        assert_eq!(gates.len(), 2);
+        assert_eq!(
+            gates[1],
+            Gate {
+                metric: "fq_mul".into(),
+                curve: "BN254N".into(),
+                baseline_ns: 1.5,
+                budget_pct: 10.0,
+            }
+        );
+        for (row, named) in [
+            (
+                r#"{"metric": "fq_mull", "curve": "BN254N", "baseline_ns": 1, "budget_pct": 10}"#,
+                "unknown metric `fq_mull`",
+            ),
+            (
+                r#"{"metric": "fq_mul", "curve": "BLS99", "baseline_ns": 1, "budget_pct": 10}"#,
+                "unknown curve `BLS99`",
+            ),
+            (
+                r#"{"metric": "fq_mul", "curve": "BN254N", "budget_pct": 10}"#,
+                "lacks",
+            ),
+        ] {
+            let err = parse_gates(&manifest(&format!("{good},\n{row}"))).unwrap_err();
+            assert!(err.contains("row 2") && err.contains(named), "{err}");
+        }
+        assert!(parse_gates(&manifest("")).is_err());
+        assert!(parse_gates("{}").is_err());
+    }
+
+    #[test]
+    fn regress_arguments_select_gates_or_name_the_bad_one() {
+        let manifest = parse_gates(COMMITTED).unwrap();
+        assert_eq!(
+            select_gates(&args(&["all"]), &manifest),
+            Ok(manifest.clone())
+        );
+        // The historic default: fq_mul on BLS24-509 at its manifest budget.
+        let default = select_gates(&[], &manifest).unwrap();
+        assert_eq!(default.len(), 1);
+        assert_eq!(
+            (default[0].metric.as_str(), default[0].curve.as_str()),
+            ("fq_mul", "BLS24-509")
+        );
+        let picked = select_gates(&args(&["msm256", "bls12-381", "12.5"]), &manifest).unwrap();
+        assert_eq!(picked.len(), 1);
+        assert_eq!(
+            (picked[0].metric.as_str(), picked[0].curve.as_str()),
+            ("msm256", "BLS12-381")
+        );
+        assert_eq!(picked[0].budget_pct, 12.5);
+        for (words, named) in [
+            (&["fq_mul", "BLS24-509", "abc"][..], "`abc` is not a number"),
+            (&["fq_mul", "BLS24-509", "inf"], "`inf` is not a number"),
+            (&["msm256", "BLS99"], "unknown curve `BLS99`"),
+            (&["pairing", "BN254N"], "no gate for (pairing, BN254N)"),
+        ] {
+            let err = select_gates(&args(words), &manifest).unwrap_err();
+            assert!(err.contains(named), "{err}");
+        }
+    }
+
+    /// A fixed stand-in for a timing, distinct per metric, curve and
+    /// thread budget. It panics on a name outside [`METRICS`], so the
+    /// emission test also checks that the emitter asks only for table
+    /// metrics.
+    fn fixed_ns(metric: &str, curve: &Arc<Curve>) -> f64 {
+        let index = METRICS
+            .iter()
+            .position(|(name, _)| *name == metric)
+            .unwrap_or_else(|| panic!("`{metric}` is not in METRICS"));
+        let threads = finesse_parallel::current_threads();
+        (1_000_000 * (index + 1) + 1_000 * curve.p().bits() + threads) as f64
+    }
+
+    #[test]
+    fn emission_reads_back_intact() {
+        let gates = parse_gates(COMMITTED).unwrap();
+        let curves = ["BN254N", "BLS12-381", "BLS24-509"];
+        let stamp = ["0123456789ab", "2026-01-02"];
+        let text = render_emission(&curves, &gates, stamp, 3, &mut fixed_ns);
+
+        // The cost model prices from it, and the gate reader gets the
+        // committed manifest back byte for byte.
+        let model = CostModel::from_bench_json(&text).expect("the emission loads");
+        assert_eq!(model.provenance().commit, stamp[0]);
+        assert_eq!(model.provenance().date, stamp[1]);
+        assert_eq!(parse_gates(&text), Ok(gates));
+        let manifest_block = |t: &str| {
+            let at = t.find("\"regression_gates\"").unwrap();
+            t[at..at + t[at..].find("\n  ]").unwrap()].to_owned()
+        };
+        assert_eq!(manifest_block(&text), manifest_block(COMMITTED));
+
+        let curve_rows = bench_rows(&text, "curves").unwrap();
+        assert_eq!(curve_rows.len(), curves.len());
+        for row in curve_rows {
+            let curve = Curve::by_name(&str_field(row, "curve").unwrap());
+            let pairing = model.pairing_ns(curve.name());
+            assert_eq!(pairing, Some(fixed_ns("pairing", &curve)));
+            assert_eq!(num_field(row, "p_bits"), Some(curve.p().bits() as f64));
+            assert_eq!(num_field(row, "limbs"), Some(curve.fp().width() as f64));
+            for (field, metric, _) in CURVE_FIELDS {
+                let expected = fixed_ns(metric, &curve);
+                assert_eq!(num_field(row, field), Some(expected), "{field}");
+            }
+        }
+
+        // The headline blocks cover BN254N and BLS12-381 only.
+        let block = |name: &str| {
+            let at = text.find(&format!("\"{name}\":")).unwrap();
+            (&text[at..], bench_rows(&text[at..], "rows").unwrap())
+        };
+        let (_, batch_rows) = block("batch_verify");
+        assert_eq!(batch_rows.len(), 4);
+        for row in batch_rows {
+            let curve = Curve::by_name(&str_field(row, "curve").unwrap());
+            let n = num_field(row, "n").unwrap();
+            let batched = fixed_ns(&format!("batch_verify_{n}"), &curve);
+            let sequential = fixed_ns(&format!("sequential_verify_{n}"), &curve);
+            assert_eq!(num_field(row, "batched_ns"), Some(batched));
+            assert_eq!(num_field(row, "sequential_ns"), Some(sequential));
+            let amortized = num_field(row, "amortized_ns_per_check").unwrap();
+            assert!((amortized - batched / n).abs() <= 0.5, "{row}");
+            let speedup = num_field(row, "speedup").unwrap();
+            assert!((speedup - sequential / batched).abs() <= 0.05, "{row}");
+        }
+        let (_, kzg_rows) = block("kzg");
+        assert_eq!(kzg_rows.len(), 2);
+        for row in kzg_rows {
+            let curve = Curve::by_name(&str_field(row, "curve").unwrap());
+            for (field, metric, _) in KZG_FIELDS {
+                let expected = fixed_ns(metric, &curve);
+                assert_eq!(num_field(row, field), Some(expected), "{field}");
+            }
+        }
+        // Each thread-axis row is timed under its own budget; the axis
+        // ends at the hardware count.
+        let (scaling, scaling_rows) = block("parallel_scaling");
+        assert_eq!(num_field(scaling, "hardware_threads"), Some(3.0));
+        let mut axis = Vec::new();
+        for row in scaling_rows {
+            let curve = Curve::by_name(&str_field(row, "curve").unwrap());
+            let metric = str_field(row, "metric").unwrap();
+            let threads = num_field(row, "threads").unwrap();
+            let expected = with_threads(threads as usize, || fixed_ns(&metric, &curve));
+            assert_eq!(num_field(row, "ns"), Some(expected), "{row}");
+            axis.push(threads);
+        }
+        assert_eq!(axis, [1.0, 2.0, 4.0, 3.0].repeat(4));
+    }
 }

@@ -9,7 +9,9 @@
 //! workspace-wide thread pool idiom honouring `FINESSE_THREADS`),
 //! matching the paper's "basic exploration strategy".
 
-use finesse_compiler::{compile_pairing, tower_shape, CompileError, CompileOptions};
+use finesse_compiler::{
+    compile_pairing, tower_shape, CompileError, CompileOptions, CompiledPairing,
+};
 use finesse_curves::Curve;
 use finesse_hw::{
     area_breakdown, critical_path_ns, frequency_mhz, latency_us, throughput_ops, AreaBreakdown,
@@ -129,7 +131,7 @@ impl Evaluation {
 }
 
 /// Evaluates one design point on a curve (`cores` parallel cores share
-/// the instruction memory).
+/// the instruction memory): compiles it, then [`evaluate_compiled`].
 ///
 /// # Errors
 ///
@@ -145,6 +147,21 @@ pub fn evaluate_point(
         &point.hw,
         &CompileOptions::default(),
     )?;
+    evaluate_compiled(curve, &compiled, cores)
+}
+
+/// Evaluates a pairing program already compiled for `curve`: decodes its
+/// image, simulates it cycle-accurately on the hardware it was compiled
+/// for, and models area and timing for `cores` cores.
+///
+/// # Errors
+///
+/// Propagates image-decoding failures.
+pub fn evaluate_compiled(
+    curve: &Arc<Curve>,
+    compiled: &CompiledPairing,
+    cores: u32,
+) -> Result<Evaluation, DseError> {
     let insts = compiled
         .image
         .spec

@@ -12,6 +12,10 @@
 //! The loader reads the emission's stamp (`schema`, `commit`, `date`) and
 //! the `curve` and `pairing_ns` fields of each `curves[]` row; every
 //! other field and block of the emission is ignored.
+//!
+//! [`bench_rows`], [`str_field`] and [`num_field`] are the one reader of
+//! the emission: the loader reads through them, and so does the
+//! `experiments` gate runner for the `regression_gates` manifest.
 
 use std::fmt;
 use std::path::Path;
@@ -84,7 +88,7 @@ impl CostModel {
     /// [`CostModelError::MissingField`] for a row without a `curve` name
     /// or a numeric `pairing_ns`.
     pub fn from_bench_json(text: &str) -> Result<CostModel, CostModelError> {
-        let schema = json_str_field(text, "schema").unwrap_or_default();
+        let schema = str_field(text, "schema").unwrap_or_default();
         const SUPPORTED: [&str; 3] = [
             "finesse-bench-fieldops/v4",
             "finesse-bench-fieldops/v5",
@@ -93,17 +97,17 @@ impl CostModel {
         if !SUPPORTED.contains(&schema.as_str()) {
             return Err(CostModelError::SchemaVersion { found: schema });
         }
-        let commit = json_str_field(text, "commit").unwrap_or_default();
-        let date = json_str_field(text, "date").unwrap_or_default();
+        let commit = str_field(text, "commit").unwrap_or_default();
+        let date = str_field(text, "date").unwrap_or_default();
 
-        let curves_block = json_array_block(text, "curves").ok_or(CostModelError::NoCurves)?;
+        let rows = bench_rows(text, "curves").ok_or(CostModelError::NoCurves)?;
         let mut pairing_ns = Vec::new();
-        for obj in json_objects(curves_block) {
-            let curve = json_str_field(obj, "curve").ok_or(CostModelError::MissingField {
+        for obj in rows {
+            let curve = str_field(obj, "curve").ok_or(CostModelError::MissingField {
                 curve: String::from("?"),
                 field: "curve",
             })?;
-            let ns = json_num_field(obj, "pairing_ns").ok_or(CostModelError::MissingField {
+            let ns = num_field(obj, "pairing_ns").ok_or(CostModelError::MissingField {
                 curve: curve.clone(),
                 field: "pairing_ns",
             })?;
@@ -161,10 +165,19 @@ impl CostModel {
 
 // ---- minimal JSON field extraction (no serde in the workspace) ----
 // The bench emission is machine-written with `"key": value` rows and no
-// braces inside strings, which is all these helpers assume. Malformed
-// input yields `None` (and so a typed loader error), never a panic.
+// brackets or braces inside the strings of an array these helpers read,
+// which is all they assume. Malformed input yields `None` (and so a
+// typed error), never a panic.
 
-fn json_str_field(obj: &str, key: &str) -> Option<String> {
+/// The top-level `{…}` rows of the array `"key": […]` in a bench
+/// emission, or `None` when the array is missing or never closed. Nested
+/// arrays and objects inside a row stay inside that row.
+pub fn bench_rows<'a>(text: &'a str, key: &str) -> Option<Vec<&'a str>> {
+    json_array_block(text, key).map(json_objects)
+}
+
+/// The string value of the first `"key": "…"` in `obj`.
+pub fn str_field(obj: &str, key: &str) -> Option<String> {
     let pat = format!("\"{key}\":");
     let after = &obj[obj.find(&pat)? + pat.len()..];
     let start = after.find('"')? + 1;
@@ -172,7 +185,8 @@ fn json_str_field(obj: &str, key: &str) -> Option<String> {
     Some(after[start..end].to_string())
 }
 
-fn json_num_field(obj: &str, key: &str) -> Option<f64> {
+/// The numeric value of the first `"key": …` in `obj`.
+pub fn num_field(obj: &str, key: &str) -> Option<f64> {
     let pat = format!("\"{key}\":");
     let after = &obj[obj.find(&pat)? + pat.len()..];
     let end = after.find([',', '}', ']']).unwrap_or(after.len());

@@ -7,19 +7,9 @@
 //! including the 10-limb BN638/BLS12-638 `MAX_LIMBS` edge, with random
 //! `2p`-bounded inputs and worst-case carry patterns.
 
-use finesse_curves::Curve;
+use finesse_curves::{all_specs, Curve};
 use finesse_ff::{BigUint, Fp, FpCtx, Fq, TowerCtx};
 use std::sync::Arc;
-
-const CURVES: [&str; 7] = [
-    "BN254N",
-    "BN462",
-    "BN638",
-    "BLS12-381",
-    "BLS12-446",
-    "BLS12-638",
-    "BLS24-509",
-];
 
 /// Deterministic splitmix64 stream (same generator as tests/properties.rs).
 struct Rng(u64);
@@ -52,7 +42,7 @@ fn every_curve_has_the_lazy_headroom() {
     // The k = 12 chains need 2 spare bits, the k = 24 chains 3; verify the
     // envelope and that dispatch actually engages — including at the
     // 638-in-640-bit edge where the margin is exactly two bits.
-    for name in CURVES {
+    for name in all_specs().map(|s| s.name) {
         let c = Curve::by_name(name);
         let h = c.fp().headroom_bits();
         assert!(h >= 2, "{name}: headroom {h} < 2");
@@ -74,7 +64,7 @@ fn every_curve_has_the_lazy_headroom() {
 #[test]
 fn unreduced_kernels_match_biguint_on_2p_bounded_inputs() {
     let mut rng = Rng(0x1A27);
-    for name in CURVES {
+    for name in all_specs().map(|s| s.name) {
         let c = Curve::by_name(name);
         let fp = c.fp();
         let p = fp.modulus().clone();
@@ -125,7 +115,7 @@ fn unreduced_kernels_match_biguint_on_2p_bounded_inputs() {
 #[test]
 fn add_noreduce_and_sub_with_kp_match_biguint() {
     let mut rng = Rng(0xADD1);
-    for name in CURVES {
+    for name in all_specs().map(|s| s.name) {
         let c = Curve::by_name(name);
         let fp = c.fp();
         let p = fp.modulus().clone();
@@ -160,7 +150,7 @@ fn worst_case_carry_patterns_at_every_width() {
     // Maximal operands drive every carry chain: a = b = 2p − 1 (the
     // largest admissible bound-2 value) and p − 1; on the 638-bit curves
     // these fill all ten limbs.
-    for name in CURVES {
+    for name in all_specs().map(|s| s.name) {
         let c = Curve::by_name(name);
         let fp = c.fp();
         let p = fp.modulus().clone();
@@ -248,7 +238,7 @@ impl Fp2Ref {
 #[test]
 fn lazy_fq_mul_and_sqr_match_biguint_reference_all_curves() {
     let mut rng = Rng(0x7077E4);
-    for name in CURVES {
+    for name in all_specs().map(|s| s.name) {
         let c = Curve::by_name(name);
         let t = c.tower().clone();
         let p = c.fp().modulus().clone();
