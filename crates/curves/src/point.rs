@@ -148,9 +148,6 @@ impl FieldOps for FqOps<'_> {
     fn is_zero(&self, a: &Fq) -> bool {
         self.0.fq_is_zero(a)
     }
-    fn batch_inv(&self, elems: &mut [Fq]) {
-        self.0.fq_batch_inv(elems);
-    }
 }
 
 /// An affine point, with an explicit point at infinity.
@@ -1397,6 +1394,25 @@ mod tests {
         }
         assert!(batch[3].infinity);
         assert!(batch_to_affine(&ops, &[]).is_empty());
+    }
+
+    #[test]
+    fn fq_ops_batch_inv_matches_individual() {
+        // The `FieldOps::batch_inv` default over `FqOps`, on the BLS12-381
+        // twist field F_p2 (G2 coordinates): Montgomery's trick must agree
+        // with one `fq_inv` per element.
+        let p = BigUint::from_hex(
+            "1a0111ea397fe69a4b1ba7b6434bacd764774b84f38512bf6730d2a0f6b0f6241eabfffeb153ffffb9feffffffffaaab",
+        )
+        .unwrap();
+        let fp = FpCtx::new(p).unwrap();
+        let tower = TowerCtx::sextic_over_fp2(&fp, fp.from_i64(-1), (fp.one(), fp.one())).unwrap();
+        let ops = FqOps(&tower);
+        let mut elems: Vec<Fq> = (1..9u64).map(|s| tower.fq_sample(s)).collect();
+        let expected: Vec<Fq> = elems.iter().map(|e| tower.fq_inv(e)).collect();
+        ops.batch_inv(&mut elems);
+        assert_eq!(elems, expected);
+        ops.batch_inv(&mut []);
     }
 
     #[test]

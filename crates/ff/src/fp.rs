@@ -23,13 +23,15 @@
 //!
 //! Multiplication is CIOS (coarsely integrated operand scanning)
 //! Montgomery multiplication, the standard software algorithm matching the
-//! word-serial structure of the paper's `mmul` hardware unit. Squaring
-//! uses a dedicated kernel ([`FpCtx::mont_sqr_into`]) that computes the
-//! `n(n+1)/2` distinct partial products once and doubles them — about half
-//! the multiply work of the general kernel — followed by a separated
-//! Montgomery reduction. Inversion is Fermat (`x^(p−2)`); batches of
-//! inversions should use [`Fp::batch_invert`] (Montgomery's trick: one
-//! inversion plus `3(n−1)` multiplications).
+//! word-serial structure of the paper's `mmul` hardware unit.
+//! [`FpCtx::mont_mul_into`] is the one fixed-width Montgomery product:
+//! squaring is that kernel with both operands equal, just as the
+//! accelerator runs `SQR` on the same `mmul` unit as `MUL`, and
+//! [`Fp::pow`] is a square-and-multiply ladder over it. Inversion is
+//! Fermat (`x^(p−2)`); batches of inversions should use
+//! [`Fp::batch_invert`] (Montgomery's trick: one inversion plus `3(n−1)`
+//! multiplications). The extension tower's lazy kernels ([`Unreduced`],
+//! [`WideAcc`], [`FpCtx::redc`]) are the only double-width path.
 //!
 //! # When `BigUint` is still the right type
 //!
@@ -117,11 +119,14 @@ fn intern(p: BigUint) -> &'static Arc<FpCtx> {
 /// A single-width value under *incomplete* (lazy) reduction: the integer
 /// is only guaranteed to be `< bound·p`, not `< p`.
 ///
-/// Produced and consumed by the `*_noreduce` kernels; the `bound` field is
-/// threaded through every operation and debug-asserted against the
-/// context's [`FpCtx::headroom_bits`] envelope, so a chain that could
-/// overflow the inline buffers fails loudly in debug builds (the
-/// differential tests drive every chain at the 10-limb `MAX_LIMBS` edge).
+/// Built by [`Fp::as_unreduced`], [`FpCtx::add_noreduce`] and
+/// [`FpCtx::sub_with_kp`], and consumed by [`FpCtx::mul_wide`]: the
+/// operand sums and offset differences of the tower's lazy Karatsuba
+/// kernels. The `bound` field is threaded through every operation and
+/// debug-asserted against the context's [`FpCtx::headroom_bits`]
+/// envelope, so a chain that could overflow the inline buffers fails
+/// loudly in debug builds (the differential tests drive every chain at
+/// the 10-limb `MAX_LIMBS` edge).
 #[derive(Clone, Copy, Debug)]
 pub struct Unreduced {
     v: Limbs,
@@ -145,7 +150,7 @@ impl Unreduced {
 /// of two single-width values, or a ± combination of such products.
 ///
 /// Karatsuba cross terms accumulate here *before* any Montgomery
-/// reduction, so an F_p2/F_q multiplication pays one [`FpCtx::redc_into`]
+/// reduction, so an F_p2/F_q multiplication pays one [`FpCtx::redc`]
 /// per output coefficient instead of one interleaved reduction per
 /// sub-product. The value is interpreted mod `2^(128·width)`; subtraction
 /// may wrap transiently as long as the final accumulated value is the true
@@ -369,13 +374,10 @@ impl FpCtx {
     }
 
     /// CIOS Montgomery multiplication into a caller-provided output:
-    /// `out = a · b · R⁻¹ mod p`. Scratch lives on the stack; nothing
-    /// allocates.
-    ///
-    /// Works directly on the fixed `[u64; MAX_LIMBS]` backing arrays with
-    /// `n` clamped to [`MAX_LIMBS`], so every index is provably in bounds
-    /// and the checks compile away (the slice-generic kernel in
-    /// [`crate::limbs`] serves the arbitrary-width `modpow` path instead).
+    /// `out = a · b · R⁻¹ mod p`, the one fixed-width Montgomery product
+    /// (squaring passes `a` twice). Scratch lives on the stack; nothing
+    /// allocates. The slice-generic kernel in [`crate::limbs`] serves the
+    /// arbitrary-width `modpow` path instead.
     #[inline]
     pub fn mont_mul_into(&self, out: &mut Limbs, a: &Limbs, b: &Limbs) {
         let n = self.width.min(MAX_LIMBS);
@@ -393,10 +395,16 @@ impl FpCtx {
         }
     }
 
-    /// The interleaved CIOS rounds shared by [`FpCtx::mont_mul_into`] and
-    /// [`FpCtx::mont_mul_noreduce_into`]: on return `t[..n]` plus the
-    /// overflow limb `t[n]` hold `a·b·R⁻¹` before any final subtraction.
-    #[inline]
+    /// The interleaved rounds of [`FpCtx::mont_mul_into`]: multiply by one
+    /// limb of `a`, then shift out one limb by adding the multiple of p
+    /// that zeroes it. On return `t[..n]` plus the overflow limb `t[n]`
+    /// hold `a·b·R⁻¹ < 2p`.
+    ///
+    /// Out of line on purpose: as a leaf function its runtime-width loops
+    /// get unrolled. Inlined into its one caller they do not, and on the
+    /// 4- and 5-limb fields the multiply then ran about 5% slower and
+    /// `pow` 5–20% slower (x86-64 Xeon, release build).
+    #[inline(never)]
     fn cios_rounds(
         &self,
         t: &mut [u64; MAX_LIMBS + 2],
@@ -426,117 +434,6 @@ impl FpCtx {
             t[n - 1] = lo;
             t[n] = t[n + 1] + hi;
             t[n + 1] = 0;
-        }
-    }
-
-    /// CIOS Montgomery multiplication that *defers the final conditional
-    /// subtraction*: `out ≡ a·b·R⁻¹ (mod p)` with `out < 2p`, not `< p`.
-    ///
-    /// Sound only when `bound(a)·bound(b)·p ≤ R` (two spare bits cover the
-    /// standard `2p × 2p` case); the [`Unreduced`]-typed wrapper
-    /// [`FpCtx::mul_noreduce`] debug-asserts this against the context's
-    /// headroom. With the bound satisfied the result fits the active width
-    /// exactly (the overflow limb is provably zero).
-    #[inline]
-    pub fn mont_mul_noreduce_into(&self, out: &mut Limbs, a: &Limbs, b: &Limbs) {
-        let n = self.width.min(MAX_LIMBS);
-        debug_assert_eq!(a.len(), n, "operand width mismatch");
-        debug_assert_eq!(b.len(), n, "operand width mismatch");
-        let mut t = [0u64; MAX_LIMBS + 2];
-        self.cios_rounds(&mut t, &a.buf, &b.buf, n);
-        debug_assert_eq!(t[n], 0, "noreduce product exceeded 2p (bound violated)");
-        out.buf[..n].copy_from_slice(&t[..n]);
-        out.len = n;
-    }
-
-    /// Dedicated Montgomery squaring deferring the final conditional
-    /// subtraction (same contract as [`FpCtx::mont_mul_noreduce_into`]).
-    #[inline]
-    pub fn mont_sqr_noreduce_into(&self, out: &mut Limbs, a: &Limbs) {
-        let n = self.width.min(MAX_LIMBS);
-        debug_assert_eq!(a.len(), n, "operand width mismatch");
-        let mut t = Self::sqr_phase(&a.buf, n);
-        let carry2 = self.redc_rounds(&mut t, n);
-        debug_assert_eq!(carry2, 0, "noreduce square exceeded 2p (bound violated)");
-        out.buf[..n].copy_from_slice(&t[n..2 * n]);
-        out.len = n;
-    }
-
-    /// Schoolbook double-width square of the active limbs: the
-    /// `n(n+1)/2` distinct partial products computed once, cross products
-    /// doubled by a fused one-bit shift, diagonals folded in.
-    #[inline]
-    fn sqr_phase(av: &[u64; MAX_LIMBS], n: usize) -> [u64; 2 * MAX_LIMBS] {
-        let mut t = [0u64; 2 * MAX_LIMBS];
-        // Off-diagonal products a_i · a_j for j > i.
-        for i in 0..n {
-            let ai = av[i];
-            let mut carry = 0u64;
-            for j in (i + 1)..n {
-                let (lo, hi) = mac(t[i + j], ai, av[j], carry);
-                t[i + j] = lo;
-                carry = hi;
-            }
-            t[i + n] = carry;
-        }
-        // Single fused pass: double each cross-product limb (one-bit shift
-        // across the buffer) and fold in the diagonal a_i² terms.
-        let mut shift_top = 0u64;
-        let mut add_carry = 0u64;
-        for i in 0..n {
-            let d = t[2 * i];
-            let doubled = (d << 1) | shift_top;
-            shift_top = d >> 63;
-            let (lo, hi) = mac(doubled, av[i], av[i], add_carry);
-            t[2 * i] = lo;
-            let d = t[2 * i + 1];
-            let doubled = (d << 1) | shift_top;
-            shift_top = d >> 63;
-            let (lo, c) = adc(doubled, hi, 0);
-            t[2 * i + 1] = lo;
-            add_carry = c;
-        }
-        t
-    }
-
-    /// The `n` rounds of separated Montgomery reduction on a double-width
-    /// buffer; afterwards `t[n..2n]` (plus the returned carry) holds
-    /// `T·R⁻¹` before the final conditional subtraction.
-    #[inline]
-    fn redc_rounds(&self, t: &mut [u64; 2 * MAX_LIMBS], n: usize) -> u64 {
-        let pv = &self.p_limbs.buf;
-        let mut carry2 = 0u64;
-        for i in 0..n {
-            let m = t[i].wrapping_mul(self.n0);
-            let (_, mut carry) = mac(t[i], m, pv[0], 0);
-            for j in 1..n {
-                let (lo, hi) = mac(t[i + j], m, pv[j], carry);
-                t[i + j] = lo;
-                carry = hi;
-            }
-            let (lo, hi) = adc(t[i + n], carry, carry2);
-            t[i + n] = lo;
-            carry2 = hi;
-        }
-        carry2
-    }
-
-    /// Dedicated Montgomery squaring into a caller-provided output:
-    /// `out = a² · R⁻¹ mod p`, computing roughly half the partial products
-    /// of the general multiply (shared cross products doubled by a one-bit
-    /// shift, then a separated Montgomery reduction).
-    #[inline]
-    pub fn mont_sqr_into(&self, out: &mut Limbs, a: &Limbs) {
-        let n = self.width.min(MAX_LIMBS);
-        debug_assert_eq!(a.len(), n, "operand width mismatch");
-        let mut t = Self::sqr_phase(&a.buf, n);
-        let carry2 = self.redc_rounds(&mut t, n);
-        let pv = &self.p_limbs.buf;
-        out.buf[..n].copy_from_slice(&t[n..2 * n]);
-        out.len = n;
-        let os = out.as_mut_slice();
-        if carry2 != 0 || cmp_slices(os, &pv[..n]) != std::cmp::Ordering::Less {
-            sub_assign_slices(os, &pv[..n]);
         }
     }
 
@@ -611,7 +508,7 @@ impl FpCtx {
 
     /// Plain double-width product `a·b` — *no* Montgomery reduction at
     /// all. Karatsuba call sites accumulate several of these into one
-    /// [`WideAcc`] and reduce once via [`FpCtx::redc_into`].
+    /// [`WideAcc`] and reduce once via [`FpCtx::redc`].
     #[inline]
     pub fn mul_wide(&self, a: &Unreduced, b: &Unreduced) -> WideAcc {
         let n = self.width.min(MAX_LIMBS);
@@ -631,19 +528,6 @@ impl FpCtx {
         WideAcc { w, bound }
     }
 
-    /// Plain double-width square (half the partial products of
-    /// [`FpCtx::mul_wide`]), no reduction.
-    #[inline]
-    pub fn sqr_wide(&self, a: &Unreduced) -> WideAcc {
-        let n = self.width.min(MAX_LIMBS);
-        let bound = a.bound.saturating_mul(a.bound);
-        debug_assert!(bound <= self.max_bound(), "wide square exceeds headroom");
-        WideAcc {
-            w: Self::sqr_phase(&a.v.buf, n),
-            bound,
-        }
-    }
-
     /// Double-width accumulation: `acc += x`.
     #[inline]
     pub fn wide_add_assign(&self, acc: &mut WideAcc, x: &WideAcc) {
@@ -656,7 +540,7 @@ impl FpCtx {
     ///
     /// A transiently wrapped (negative) accumulator is fine — limb
     /// arithmetic is associative mod `2^(128·width)` — provided the
-    /// *final* accumulated value handed to [`FpCtx::redc_into`] is the
+    /// *final* accumulated value handed to [`FpCtx::redc`] is the
     /// true non-negative integer (add a [`FpCtx::wide_add_kp2`] offset
     /// where an operand could otherwise dominate). The upper bound is
     /// unchanged: subtracting a non-negative value cannot raise it.
@@ -677,8 +561,8 @@ impl FpCtx {
         acc.bound += k;
     }
 
-    /// Separated Montgomery reduction of a double-width accumulator to a
-    /// *canonical* residue: `out = t·R⁻¹ mod p`, `out < p`.
+    /// Separated Montgomery reduction of a double-width accumulator to the
+    /// *canonical* residue `t·R⁻¹ mod p` (`< p`).
     ///
     /// Requires `t < p·R`, which the bound envelope guarantees
     /// (`bound ≤ 2^headroom ⇒ bound·p² ≤ p·R`); debug builds additionally
@@ -686,69 +570,36 @@ impl FpCtx {
     /// wrapped or over-accumulated value on real data regardless of the
     /// bound bookkeeping.
     #[inline]
-    pub fn redc_into(&self, out: &mut Limbs, t: &WideAcc) {
+    pub fn redc(&self, t: &WideAcc) -> Limbs {
         let n = self.width.min(MAX_LIMBS);
+        let pv = &self.p_limbs.buf;
         debug_assert!(t.bound <= self.max_bound(), "REDC input exceeds headroom");
         debug_assert!(
-            cmp_slices(&t.w[n..2 * n], &self.p_limbs.buf[..n]) == std::cmp::Ordering::Less,
+            cmp_slices(&t.w[n..2 * n], &pv[..n]) == std::cmp::Ordering::Less,
             "REDC input is not < p·R (bound annotation violated or value wrapped)"
         );
+        // n rounds, each adding the multiple of p that zeroes the lowest
+        // live limb; afterwards `buf[n..2n]` plus `carry2` hold `t·R⁻¹`.
         let mut buf = t.w;
-        let carry2 = self.redc_rounds(&mut buf, n);
-        let pv = &self.p_limbs.buf;
-        out.buf[..n].copy_from_slice(&buf[n..2 * n]);
-        out.len = n;
+        let mut carry2 = 0u64;
+        for i in 0..n {
+            let m = buf[i].wrapping_mul(self.n0);
+            let (_, mut carry) = mac(buf[i], m, pv[0], 0);
+            for j in 1..n {
+                let (lo, hi) = mac(buf[i + j], m, pv[j], carry);
+                buf[i + j] = lo;
+                carry = hi;
+            }
+            let (lo, hi) = adc(buf[i + n], carry, carry2);
+            buf[i + n] = lo;
+            carry2 = hi;
+        }
+        let mut out = Limbs::from_slice(&buf[n..2 * n]);
         let os = out.as_mut_slice();
         if carry2 != 0 || cmp_slices(os, &pv[..n]) != std::cmp::Ordering::Less {
             sub_assign_slices(os, &pv[..n]);
         }
-    }
-
-    /// By-value form of [`FpCtx::redc_into`].
-    #[inline]
-    pub fn redc(&self, t: &WideAcc) -> Limbs {
-        let mut out = Limbs::zero(self.width);
-        self.redc_into(&mut out, t);
         out
-    }
-
-    /// [`Unreduced`]-typed wrapper over [`FpCtx::mont_mul_noreduce_into`]:
-    /// Montgomery product with the final subtraction deferred, output
-    /// bound `2p`.
-    #[inline]
-    pub fn mul_noreduce(&self, a: &Unreduced, b: &Unreduced) -> Unreduced {
-        debug_assert!(
-            a.bound.saturating_mul(b.bound) <= self.max_bound(),
-            "noreduce product operands exceed headroom"
-        );
-        let mut v = Limbs::zero(self.width);
-        self.mont_mul_noreduce_into(&mut v, &a.v, &b.v);
-        Unreduced { v, bound: 2 }
-    }
-
-    /// [`Unreduced`]-typed wrapper over [`FpCtx::mont_sqr_noreduce_into`].
-    #[inline]
-    pub fn sqr_noreduce(&self, a: &Unreduced) -> Unreduced {
-        debug_assert!(
-            a.bound.saturating_mul(a.bound) <= self.max_bound(),
-            "noreduce square operand exceeds headroom"
-        );
-        let mut v = Limbs::zero(self.width);
-        self.mont_sqr_noreduce_into(&mut v, &a.v);
-        Unreduced { v, bound: 2 }
-    }
-
-    /// Fully reduces an [`Unreduced`] value to its canonical residue
-    /// (at most `bound − 1` conditional subtractions).
-    #[inline]
-    pub fn reduce(&self, a: &Unreduced) -> Limbs {
-        let n = self.width;
-        let mut v = a.v;
-        let pv = &self.p_limbs.buf[..n];
-        while cmp_slices(&v.buf[..n], pv) != std::cmp::Ordering::Less {
-            sub_assign_slices(&mut v.buf[..n], pv);
-        }
-        v
     }
 
     /// By-value Montgomery multiplication ([`Limbs`] is `Copy`, so this is
@@ -757,14 +608,6 @@ impl FpCtx {
     pub(crate) fn mont_mul(&self, a: &Limbs, b: &Limbs) -> Limbs {
         let mut out = Limbs::zero(self.width);
         self.mont_mul_into(&mut out, a, b);
-        out
-    }
-
-    /// By-value Montgomery squaring.
-    #[inline]
-    pub(crate) fn mont_sqr(&self, a: &Limbs) -> Limbs {
-        let mut out = Limbs::zero(self.width);
-        self.mont_sqr_into(&mut out, a);
         out
     }
 
@@ -780,12 +623,6 @@ impl FpCtx {
         let mut one = Limbs::zero(self.width);
         one.as_mut_slice()[0] = 1;
         BigUint::from_limbs(self.mont_mul(v, &one).as_slice().to_vec())
-    }
-
-    /// Montgomery representation of one (borrowed — callers copy only when
-    /// they actually need ownership).
-    pub(crate) fn mont_one(&self) -> &Limbs {
-        &self.one_mont
     }
 }
 
@@ -812,7 +649,7 @@ impl FpCtx {
     pub fn one(&self) -> Fp {
         Fp {
             ctx: self.handle(),
-            v: *self.mont_one(),
+            v: self.one_mont,
         }
     }
 
@@ -914,7 +751,7 @@ impl Fp {
     }
 
     /// Wraps canonical Montgomery-form limbs produced by the lazy kernels
-    /// (e.g. [`FpCtx::redc_into`]) back into a field element.
+    /// ([`FpCtx::redc`]) back into a field element.
     pub(crate) fn from_mont_limbs(ctx: &FpCtx, v: Limbs) -> Fp {
         debug_assert!(
             cmp_slices(v.as_slice(), ctx.p_limbs.as_slice()) == std::cmp::Ordering::Less,
@@ -1027,11 +864,11 @@ impl Fp {
         self.ctx.mont_mul_into(&mut self.v, &v, &other.v);
     }
 
-    /// In-place squaring modulo p (dedicated squaring kernel).
+    /// In-place squaring modulo p: `self *= self`.
     #[inline]
     pub fn square_assign(&mut self) {
         let v = self.v;
-        self.ctx.mont_sqr_into(&mut self.v, &v);
+        self.ctx.mont_mul_into(&mut self.v, &v, &v);
     }
 
     /// Addition modulo p.
@@ -1068,14 +905,10 @@ impl Fp {
         }
     }
 
-    /// Squaring modulo p, via the dedicated CIOS squaring kernel (~½ the
-    /// partial products of a general multiply).
+    /// Squaring modulo p: the CIOS multiply with both operands equal.
     #[inline]
     pub fn square(&self) -> Fp {
-        Fp {
-            ctx: self.ctx,
-            v: self.ctx.mont_sqr(&self.v),
-        }
+        self.mul(self)
     }
 
     /// Doubling (`2x`), the hardware `DBL` operation.
@@ -1124,27 +957,9 @@ impl Fp {
         out
     }
 
-    /// Exponentiation by an arbitrary [`BigUint`] exponent.
-    ///
-    /// When the modulus leaves at least two spare bits in its limb buffer
-    /// (every Table-2 curve does), the square-and-multiply ladder runs on
-    /// `< 2p`-bounded [`Unreduced`] values — every per-step conditional
-    /// subtraction is deferred to one final [`FpCtx::reduce`].
+    /// Exponentiation by an arbitrary [`BigUint`] exponent: one
+    /// left-to-right square-and-multiply ladder.
     pub fn pow(&self, e: &BigUint) -> Fp {
-        if self.ctx.headroom >= 2 {
-            let base = self.as_unreduced();
-            let mut acc = Unreduced {
-                v: *self.ctx.mont_one(),
-                bound: 1,
-            };
-            for i in (0..e.bits()).rev() {
-                acc = self.ctx.sqr_noreduce(&acc);
-                if e.bit(i) {
-                    acc = self.ctx.mul_noreduce(&acc, &base);
-                }
-            }
-            return Fp::from_mont_limbs(self.ctx, self.ctx.reduce(&acc));
-        }
         let mut acc = self.ctx.one();
         for i in (0..e.bits()).rev() {
             acc.square_assign();
@@ -1417,7 +1232,7 @@ mod tests {
             let a = c.sample(seed);
             assert_eq!(a.square(), &a * &a, "seed {seed}");
         }
-        // Edge values where the squaring kernel's reduction is exercised.
+        // Edge values: 0, 1 and p − 1, the largest operand.
         assert_eq!(c.zero().square(), c.zero());
         assert_eq!(c.one().square(), c.one());
         let pm1 = c.from_biguint(&c.modulus().checked_sub(&BigUint::one()).unwrap());
@@ -1582,33 +1397,6 @@ mod tests {
             // Plain product of the Montgomery reps, then REDC, is exactly
             // the interleaved CIOS product.
             assert_eq!(c.redc(&w), (&a * &b).v, "seed {seed}");
-            let sq = c.sqr_wide(&a.as_unreduced());
-            assert_eq!(c.redc(&sq), a.square().v, "seed {seed} sqr");
-        }
-    }
-
-    #[test]
-    fn noreduce_kernels_are_congruent_and_bounded() {
-        let c = ctx();
-        let two_p = &BigUint::from_u64(2) * c.modulus();
-        for seed in 0..16u64 {
-            let a = c.sample(seed);
-            let b = c.sample(seed + 7);
-            let m = c.mul_noreduce(&a.as_unreduced(), &b.as_unreduced());
-            let got = BigUint::from_limbs(m.limbs().as_slice().to_vec());
-            assert!(got < two_p, "seed {seed}: noreduce mul not < 2p");
-            assert_eq!(got.rem(c.modulus()), (&a * &b).to_biguint_montless());
-            let s = c.sqr_noreduce(&a.as_unreduced());
-            let got = BigUint::from_limbs(s.limbs().as_slice().to_vec());
-            assert!(got < two_p, "seed {seed}: noreduce sqr not < 2p");
-            assert_eq!(got.rem(c.modulus()), a.square().to_biguint_montless());
-        }
-    }
-
-    impl Fp {
-        /// The raw Montgomery representation as an integer (test helper).
-        fn to_biguint_montless(&self) -> BigUint {
-            BigUint::from_limbs(self.v.as_slice().to_vec())
         }
     }
 
@@ -1635,11 +1423,6 @@ mod tests {
                 &(&ai + &p) - &bi
             );
             assert_eq!(d.bound(), 2);
-            // reduce() brings either back to canonical.
-            assert_eq!(
-                BigUint::from_limbs(c.reduce(&s).as_slice().to_vec()),
-                (&ai + &bi).rem(&p)
-            );
         }
     }
 

@@ -28,7 +28,7 @@
 //! Karatsuba sub-products are computed as plain double-width integers
 //! ([`crate::WideAcc`]), cross terms are added and subtracted **unreduced**
 //! at double width, and each output coefficient pays exactly one separated
-//! Montgomery reduction (`FpCtx::redc_into`) — instead of one interleaved
+//! Montgomery reduction (`FpCtx::redc`) — instead of one interleaved
 //! reduction per sub-product plus carry-managed recombination.
 //!
 //! The invariants, enforced by `bound` tracking on every unreduced value
@@ -239,8 +239,6 @@ pub struct TowerCtx {
     w_frob: Vec<Fq>,
     /// q = p^(k/6).
     q: BigUint,
-    /// p^k.
-    pk: BigUint,
     /// Lazy reduction enabled for the F_p2 layer (`β = −1`, headroom ≥ 2).
     lazy2: bool,
     /// Lazy reduction enabled for the F_p4 layer (`β = −1`, `ξ₂ = 1 + u`,
@@ -336,7 +334,6 @@ impl TowerCtx {
         let qdeg = k / 6;
         let p = fp.modulus().clone();
         let q = p.pow(qdeg as u32);
-        let pk = p.pow(k as u32);
 
         let mut ctx = TowerCtx {
             fp: Arc::clone(fp),
@@ -349,7 +346,6 @@ impl TowerCtx {
             v_frob: Vec::new(),
             w_frob: Vec::new(),
             q,
-            pk,
             lazy2: false,
             lazy4: false,
             xi_kind: XiKind::Generic,
@@ -479,11 +475,6 @@ impl TowerCtx {
         &self.q
     }
 
-    /// p^k, the order of F_p^k.
-    pub fn pk_order(&self) -> &BigUint {
-        &self.pk
-    }
-
     /// The Frobenius constant `ξ^((p^j − 1)/6)` (used by the compiler's
     /// constant tables and the G2 untwist–Frobenius endomorphism).
     pub fn w_frob_const(&self, j: usize) -> &Fq {
@@ -571,7 +562,7 @@ impl TowerCtx {
     fn fp2_sqr(&self, a: &(Fp, Fp)) -> (Fp, Fp) {
         if self.lazy2 {
             let f = self.fp.as_ref();
-            let pair = Self::fp2_sqr_wide(f, (&a.0.as_unreduced(), &a.1.as_unreduced()));
+            let pair = Self::fp2_square_wide(f, (&a.0.as_unreduced(), &a.1.as_unreduced()));
             return (
                 Fp::from_mont_limbs(&self.fp, f.redc(&pair.c0)),
                 Fp::from_mont_limbs(&self.fp, f.redc(&pair.c1)),
@@ -656,7 +647,7 @@ impl TowerCtx {
     /// F_p2 square at double width, canonical inputs (`β = −1`):
     /// `c0 = (a0+a1)(a0+p−a1) = a0² − a1² + p(a0+a1) < 3p²`,
     /// `c1 = 2·a0·a1 < 2p²`. Two limb-level multiplications.
-    fn fp2_sqr_wide(f: &FpCtx, a: (&Unreduced, &Unreduced)) -> WidePair {
+    fn fp2_square_wide(f: &FpCtx, a: (&Unreduced, &Unreduced)) -> WidePair {
         let s = f.add_noreduce(a.0, a.1);
         let d = f.sub_with_kp(a.0, a.1, 1);
         let mut c0 = f.mul_wide(&s, &d);
@@ -879,8 +870,8 @@ impl TowerCtx {
     fn fq_sqr_lazy4(&self, a: &Fq) -> Fq {
         let f = self.fp.as_ref();
         let au: [Unreduced; 4] = std::array::from_fn(|i| a.c[i].as_unreduced());
-        let s0 = Self::fp2_sqr_wide(f, (&au[0], &au[1]));
-        let s1 = Self::fp2_sqr_wide(f, (&au[2], &au[3]));
+        let s0 = Self::fp2_square_wide(f, (&au[0], &au[1]));
+        let s1 = Self::fp2_square_wide(f, (&au[2], &au[3]));
         let xis1 = Self::wide_pair_mul_xi2(f, &s1);
         let mut o0 = s0.c0;
         f.wide_add_assign(&mut o0, &xis1.c0);
@@ -924,35 +915,6 @@ impl TowerCtx {
                 )
             }
             _ => unreachable!("qdeg is 2 or 4"),
-        }
-    }
-
-    /// Inverts every element of a slice in place with Montgomery's trick:
-    /// one F_q inversion plus `3(n−1)` F_q multiplications, instead of `n`
-    /// norm-map inversions. This is the tower-level entry point behind the
-    /// batch-affine table normalisation and bucket accumulation in the
-    /// curve layer (G2 points have F_q coordinates).
-    ///
-    /// # Panics
-    ///
-    /// Panics on zero elements, matching [`TowerCtx::fq_inv`].
-    pub fn fq_batch_inv(&self, elems: &mut [Fq]) {
-        if elems.is_empty() {
-            return;
-        }
-        // prefix[i] = elems[0] · … · elems[i-1]
-        let mut prefix = Vec::with_capacity(elems.len());
-        let mut acc = self.fq_one();
-        for e in elems.iter() {
-            prefix.push(acc.clone());
-            acc = self.fq_mul(&acc, e);
-        }
-        // acc = (Π elems)⁻¹; peel off one element per step from the back.
-        let mut inv = self.fq_inv(&acc);
-        for (e, pre) in elems.iter_mut().zip(prefix.iter()).rev() {
-            let out = self.fq_mul(&inv, pre);
-            inv = self.fq_mul(&inv, e);
-            *e = out;
         }
     }
 
@@ -1594,16 +1556,6 @@ mod tests {
                 assert!(t.fq_is_one(&t.fq_mul(&a, &t.fq_inv(&a))));
             }
         }
-    }
-
-    #[test]
-    fn fq_batch_inv_matches_individual() {
-        let t = bls12_tower();
-        let mut elems: Vec<Fq> = (1..9u64).map(|s| t.fq_sample(s)).collect();
-        let expected: Vec<Fq> = elems.iter().map(|e| t.fq_inv(e)).collect();
-        t.fq_batch_inv(&mut elems);
-        assert_eq!(elems, expected);
-        t.fq_batch_inv(&mut []);
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! (`w⁰ w² w⁴`), then the odd ones (`w¹ w³ w⁵`) — the quadratic-over-cubic
 //! split of the tower.
 
-use finesse_ff::{BigUint, Fp, FpCtx, Fpk, Fq, TowerCtx};
-use std::sync::Arc;
+use finesse_ff::{BigUint, Fp, Fpk, Fq, TowerCtx};
 
 /// Flattens an F_q element into base-field elements (tower order).
 pub fn fq_to_fps(a: &Fq) -> Vec<Fp> {
@@ -53,11 +52,6 @@ pub fn fps_to_fpk(tower: &TowerCtx, fps: &[Fp]) -> Fpk {
 /// form stored in IR constant tables.
 pub fn fq_to_canonical(a: &Fq) -> Vec<BigUint> {
     a.coeffs().iter().map(Fp::to_biguint).collect()
-}
-
-/// Builds flat [`Fp`] inputs from canonical values.
-pub fn canonical_to_fps(ctx: &Arc<FpCtx>, vals: &[BigUint]) -> Vec<Fp> {
-    vals.iter().map(|v| ctx.from_biguint(v)).collect()
 }
 
 #[cfg(test)]

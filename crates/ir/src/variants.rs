@@ -157,43 +157,6 @@ impl VariantConfig {
         out
     }
 
-    /// Enumerates the full variant space (mul × sqr per level × cyclo);
-    /// large — used with sampling or filters.
-    pub fn enumerate_full_space(shape: &TowerShape) -> Vec<VariantConfig> {
-        let mut out = vec![VariantConfig::all_karatsuba(shape)];
-        for l in &shape.levels {
-            let muls = [MulVariant::Karatsuba, MulVariant::Schoolbook];
-            let sqrs: &[SqrVariant] = if l.arity == 2 {
-                &[
-                    SqrVariant::Complex,
-                    SqrVariant::Schoolbook,
-                    SqrVariant::ViaMul,
-                ]
-            } else {
-                &[
-                    SqrVariant::ChSqr2,
-                    SqrVariant::ChSqr3,
-                    SqrVariant::Schoolbook,
-                ]
-            };
-            let mut next = Vec::with_capacity(out.len() * muls.len() * sqrs.len());
-            for cfg in &out {
-                for &m in &muls {
-                    for &s in sqrs {
-                        next.push(cfg.clone().with_mul(l.degree, m).with_sqr(l.degree, s));
-                    }
-                }
-            }
-            out = next;
-        }
-        let mut full = Vec::with_capacity(out.len() * 2);
-        for cfg in out {
-            full.push(cfg.clone().with_cyclo(CycloVariant::GrangerScott));
-            full.push(cfg.with_cyclo(CycloVariant::PlainSqr));
-        }
-        full
-    }
-
     /// A short human-readable tag (for experiment tables).
     pub fn tag(&self) -> String {
         let mut s = String::new();

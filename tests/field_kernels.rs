@@ -1,11 +1,13 @@
 //! Differential tests for the fixed-limb field kernels: every hot-path
-//! operation (CIOS mul, dedicated squaring, in-place add/sub/neg, Fermat
-//! and batch inversion, limb-level halving) is checked against the
-//! arbitrary-precision `BigUint` reference arithmetic, across the base
-//! primes of all seven Table-2 curves — including the 10-limb
-//! (`MAX_LIMBS`) BN638/BLS12-638 edge where the inline buffers are full.
-//! The F_p and F_q square roots are checked against Euler's criterion on
-//! the same seven curves. Context interning (one `FpCtx` per modulus,
+//! operation (the CIOS multiply, squaring through it, in-place
+//! add/sub/neg, the `pow` ladder, Fermat and batch inversion, limb-level
+//! halving) is checked against the arbitrary-precision `BigUint` reference
+//! arithmetic, on the base field and the scalar field of all seven
+//! Table-2 curves — including the 10-limb (`MAX_LIMBS`) BN638/BLS12-638
+//! edge where the inline buffers are full. The F_p and F_q square roots
+//! are checked against Euler's criterion on the same seven curves, and
+//! the Tonelli–Shanks path on BLS12-381's scalar field, where
+//! `r ≡ 1 (mod 4)`. Context interning (one `FpCtx` per modulus,
 //! shared across constructors, curve rebuilds and threads) and the
 //! plain-value element layout are pinned here too.
 //!
@@ -35,18 +37,21 @@ impl Rng {
 
 const CASES: usize = 24;
 
-/// Base-field contexts of the seven Table-2 curves (specs are validated
-/// by the curve substrate's own tests; skip the Miller–Rabin rounds here).
-fn table2_fields() -> Vec<(&'static str, Arc<FpCtx>)> {
+/// The 14 fields of the seven Table-2 curves: each base field F_p and
+/// each scalar field F_r, the field polynomial commitments compute in
+/// (specs are validated by the curve substrate's own tests; skip the
+/// Miller–Rabin rounds here).
+fn table2_fields() -> Vec<(String, Arc<FpCtx>)> {
     all_specs()
         .into_iter()
-        .map(|s| {
-            let p = s
-                .family
-                .prime(&s.t())
-                .to_biguint()
-                .expect("table-2 primes are positive");
-            (s.name, FpCtx::new_unchecked(p))
+        .flat_map(|s| {
+            let t = s.t();
+            let p = s.family.prime(&t).to_biguint();
+            let r = s.family.order(&t).to_biguint();
+            [(" p", p), (" r", r)].map(|(field, m)| {
+                let m = m.expect("table-2 primes are positive");
+                (s.name.to_owned() + field, FpCtx::new_unchecked(m))
+            })
         })
         .collect()
 }
@@ -155,7 +160,7 @@ fn sqr_kernel_matches_biguint_reference() {
             assert_eq!(a.square().to_biguint(), expect, "{name}: sqr vs BigUint");
             assert_eq!(a.square(), &a * &a, "{name}: sqr vs mul kernel");
         }
-        // Boundary values where the doubling/reduction carries are maximal.
+        // Boundary values where the reduction carries are maximal.
         let pm1 = ctx.from_biguint(&p.checked_sub(&BigUint::one()).unwrap());
         assert_eq!(pm1.square().to_biguint(), BigUint::one(), "{name}: (p-1)²");
         assert!(ctx.zero().square().is_zero(), "{name}: 0²");
@@ -304,6 +309,31 @@ fn fp_sqrt_matches_euler_criterion() {
         for edge in [fp.zero(), fp.one(), -&fp.one(), beta.clone()] {
             check_fp_sqrt(spec.name, &edge);
         }
+    }
+}
+
+#[test]
+fn fp_sqrt_runs_tonelli_shanks_on_a_255_bit_field() {
+    // BLS12-381's r ≡ 1 (mod 4), so `Fp::sqrt` takes the Tonelli–Shanks
+    // path (2-adicity 32) on a 4-limb field.
+    let name = "BLS12-381 r";
+    let spec = spec_by_name("BLS12-381").unwrap();
+    let r = spec.family.order(&spec.t()).to_biguint().unwrap();
+    assert_eq!(r.low_u64() & 3, 1, "{name}: r ≡ 1 (mod 4)");
+    let fr = FpCtx::new_unchecked(r);
+    let non_square = (2..)
+        .map(|k| fr.from_u64(k))
+        .find(|x| !fp_is_square(x))
+        .unwrap();
+    let mut rng = Rng::new(0x75_5127);
+    for _ in 0..6 {
+        let s = fr.sample(rng.next_u64());
+        check_fp_sqrt(name, &s);
+        assert!(check_fp_sqrt(name, &s.square()).is_some());
+        assert!(check_fp_sqrt(name, &(&s.square() * &non_square)).is_none());
+    }
+    for edge in [fr.zero(), fr.one(), -&fr.one(), non_square] {
+        check_fp_sqrt(name, &edge);
     }
 }
 

@@ -1,11 +1,12 @@
-//! Differential tests for the lazy (incomplete) reduction landed in the
-//! Fp2/Fq tower hot path: every unreduced kernel — `add_noreduce`,
-//! `sub_with_kp`, `mul_wide`/`sqr_wide` + `redc`, the `*_noreduce` CIOS
-//! variants — and every lazy tower product (`fp2_mul` via `fq_mul`,
-//! `fq_sqr`, the qdeg-4 pair-wide Karatsuba) is checked against plain
-//! `BigUint` polynomial arithmetic, across all seven Table-2 curves
+//! Differential tests for the lazy (incomplete) reduction in the Fp2/Fq
+//! tower hot path: every unreduced kernel — `add_noreduce`, `sub_with_kp`,
+//! `mul_wide` + `redc` — and every lazy tower product (`fp2_mul` via
+//! `fq_mul`, `fq_sqr`, the qdeg-4 pair-wide Karatsuba) is checked against
+//! plain `BigUint` polynomial arithmetic, across all seven Table-2 curves
 //! including the 10-limb BN638/BLS12-638 `MAX_LIMBS` edge, with random
-//! `2p`-bounded inputs and worst-case carry patterns.
+//! `2p`-bounded inputs and worst-case carry patterns. These are the only
+//! double-width kernels; single-width F_p products all run through the one
+//! CIOS multiply, which `tests/field_kernels.rs` checks.
 
 use finesse_curves::{all_specs, Curve};
 use finesse_ff::{BigUint, Fp, FpCtx, Fq, TowerCtx};
@@ -88,26 +89,6 @@ fn unreduced_kernels_match_biguint_on_2p_bounded_inputs() {
                 expect,
                 "{name} case {case}: redc(mul_wide)"
             );
-            // sqr_wide agrees with mul_wide on the diagonal.
-            let sq = fp.sqr_wide(&a);
-            assert_eq!(
-                BigUint::from_limbs(sq.limbs().to_vec()),
-                &av * &av,
-                "{name} case {case}: sqr_wide"
-            );
-            // The noreduce CIOS variants are < 2p and congruent.
-            let m = fp.mul_noreduce(&a, &b);
-            let got = BigUint::from_limbs(m.limbs().as_slice().to_vec());
-            assert!(got < two_p, "{name} case {case}: mul_noreduce bound");
-            assert_eq!(got.rem(&p), expect, "{name} case {case}: mul_noreduce");
-            let s = fp.sqr_noreduce(&a);
-            let got = BigUint::from_limbs(s.limbs().as_slice().to_vec());
-            assert!(got < two_p, "{name} case {case}: sqr_noreduce bound");
-            assert_eq!(
-                got.rem(&p),
-                (&(&av * &av).rem(&p) * &rinv).rem(&p),
-                "{name} case {case}: sqr_noreduce"
-            );
         }
     }
 }
@@ -134,12 +115,6 @@ fn add_noreduce_and_sub_with_kp_match_biguint() {
                 BigUint::from_limbs(d.limbs().as_slice().to_vec()),
                 &(&av + &p) - &bv,
                 "{name} case {case}: sub_with_kp"
-            );
-            // reduce() restores the canonical residue of either.
-            assert_eq!(
-                BigUint::from_limbs(fp.reduce(&s).as_slice().to_vec()),
-                (&av + &bv).rem(&p),
-                "{name} case {case}: reduce"
             );
         }
     }
@@ -171,12 +146,6 @@ fn worst_case_carry_patterns_at_every_width() {
                 expect,
                 "{name}: worst-case redc"
             );
-            let nr = fp.mul_noreduce(&u, &u);
-            assert_eq!(
-                BigUint::from_limbs(nr.limbs().as_slice().to_vec()).rem(&p),
-                expect,
-                "{name}: worst-case mul_noreduce"
-            );
         }
         // add / sub extremes: (2p−1) + (2p−1) = 4p − 2 (the bound-4
         // ceiling) and 0 + 2p − (2p−1) = 1.
@@ -186,11 +155,6 @@ fn worst_case_carry_patterns_at_every_width() {
             BigUint::from_limbs(s.limbs().as_slice().to_vec()),
             &two_p_m1 + &two_p_m1,
             "{name}: 4p−2 sum"
-        );
-        assert_eq!(
-            BigUint::from_limbs(fp.reduce(&s).as_slice().to_vec()),
-            (&two_p_m1 + &two_p_m1).rem(&p),
-            "{name}: 4p−2 reduce"
         );
         let zero = fp.unreduced_from_limbs(&[], 1);
         let d = fp.sub_with_kp(&zero, &hi, 2);
