@@ -334,6 +334,10 @@ const METRICS: &[(&str, Measure)] = &[
     ("multi_pair_prepared_30_t2", |curve| {
         with_threads(2, || multi_pair_prepared_30_ns(curve))
     }),
+    ("settle_isolating_32", settle_isolating_32_ns),
+    ("settle_isolating_32_t2", |curve| {
+        with_threads(2, || settle_isolating_32_ns(curve))
+    }),
 ];
 
 /// Re-measures one metric of [`METRICS`] on a curve (callers pass table
@@ -415,6 +419,29 @@ fn batch_verify_ns(curve: &Arc<Curve>, n: u64) -> f64 {
     assert!(settle(&checks), "synthetic batch verifies");
     bench_ns(|| {
         black_box(settle(black_box(&checks)));
+    })
+}
+
+/// Median ns of one fault-isolating settle over the 32 [`batch_checks`]
+/// with the signature of check 7 forged (moved to the adjacent group
+/// element): the first pass, then the bisection down to the forged check.
+fn settle_isolating_32_ns(curve: &Arc<Curve>) -> f64 {
+    const FORGED: usize = 7;
+    let engine = PairingEngine::new(Arc::clone(curve));
+    let mut checks = batch_checks(curve, 32);
+    checks[FORGED].0 = curve.g1_add(&checks[FORGED].0, curve.g1_generator());
+    let settle = |checks: &[BatchCheck]| {
+        let mut acc = finesse_pairing::PairingAccumulator::new(&engine);
+        for (a, b, c, d) in checks {
+            acc.push_check(a, b, c, d);
+        }
+        acc.settle_isolating()
+    };
+    // As in `batch_verify_ns`, the first settle warms the prepared-G2
+    // cache.
+    assert_eq!(settle(&checks), Err(vec![FORGED]), "one forged check");
+    bench_ns(|| {
+        black_box(settle(black_box(&checks)).is_err());
     })
 }
 
@@ -1443,7 +1470,7 @@ mod tests {
     #[test]
     fn committed_manifest_is_valid() {
         let gates = parse_gates(COMMITTED).expect("the committed manifest validates");
-        assert_eq!(gates.len(), 18);
+        assert_eq!(gates.len(), 19);
     }
 
     #[test]

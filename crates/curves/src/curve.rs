@@ -1249,6 +1249,12 @@ impl Curve {
     /// where each distinct G2 point owns one aggregated G1 side and every
     /// aggregate is needed in affine form for the Miller loops.
     ///
+    /// With more than one group and [`finesse_parallel::current_threads`]
+    /// above 1, the groups are sharded across scoped threads, one
+    /// contiguous share each, and every share runs its group MSMs
+    /// serially. Each group runs the same kernel on the same inputs at
+    /// any thread count, so the affine outputs are bit-identical.
+    ///
     /// # Errors
     ///
     /// Returns [`CurveError::MsmLengthMismatch`] if any group's points
@@ -1258,10 +1264,29 @@ impl Curve {
         groups: &[(Vec<Affine<Fp>>, Vec<BigUint>)],
     ) -> Result<Vec<Affine<Fp>>, CurveError> {
         let ops = FpOps(Arc::clone(&self.fp));
-        let jacs = groups
-            .iter()
-            .map(|(points, scalars)| self.g1_msm_short_jac(points, scalars))
-            .collect::<Result<Vec<_>, _>>()?;
+        let run = |share: &[(Vec<Affine<Fp>>, Vec<BigUint>)]| {
+            share
+                .iter()
+                .map(|(points, scalars)| self.g1_msm_short_jac(points, scalars))
+                .collect::<Result<Vec<_>, _>>()
+        };
+        // Scoped workers do not inherit a caller's `with_threads`
+        // override, so pin each sharded share to one thread: a large
+        // group must not shard its buckets again on top of the group
+        // split. A lone group (or one thread) keeps the kernel's own
+        // bucket sharding.
+        let sharded = groups.len() > 1 && finesse_parallel::current_threads() > 1;
+        let shares = finesse_parallel::par_map_chunks(groups, 1, |share| {
+            if sharded {
+                finesse_parallel::with_threads(1, || run(share))
+            } else {
+                run(share)
+            }
+        });
+        let mut jacs = Vec::with_capacity(groups.len());
+        for share in shares {
+            jacs.extend(share?);
+        }
         Ok(batch_to_affine(&ops, &jacs))
     }
 

@@ -19,6 +19,13 @@
 //! one final exponentiation — for n BLS verifications against s signers
 //! that is `1 + s` loops instead of `2n` pairings.
 //!
+//! When a batch fails, [`PairingAccumulator::settle_isolating`] names the
+//! failing checks by bisection. A subset's G_T value is multiplicative
+//! over disjoint subsets, so each failing subset evaluates only one half
+//! and derives the other's value with one F_p^k multiplication: k bad
+//! checks among n cost at most k⌈log₂n⌉ subset evaluations after the
+//! first pass.
+//!
 //! Randomizers come from a [`Transcript`] seeded over every pushed point
 //! (Fiat–Shamir shape: nothing is drawn until the batch is closed, so
 //! each ρᵢ depends on all checks). The concrete instantiation is the
@@ -31,7 +38,7 @@ use crate::prepared::G2Prepared;
 use crate::transcript::{SplitMix64Transcript, Transcript};
 use crate::value::PairingEngine;
 use finesse_curves::{affine_neg, Affine, FpOps};
-use finesse_ff::{BigUint, Fp, Fq};
+use finesse_ff::{BigUint, Fp, Fpk, Fq};
 use std::sync::Arc;
 
 /// One deferred check `e(a, b) =? e(c, d)`.
@@ -120,28 +127,35 @@ impl<'e> PairingAccumulator<'e> {
     /// random-linear-combination soundness error). An empty batch is
     /// vacuously `true`.
     pub fn settle(mut self) -> bool {
-        if self.checks.is_empty() {
-            return true;
-        }
         let checks = std::mem::take(&mut self.checks);
         let rhos = self.draw_randomizers(checks.len());
         let all: Vec<usize> = (0..checks.len()).collect();
-        self.verify_subset(&checks, &rhos, &all)
+        self.subset_value(&checks, &rhos, &all)
+            .is_some_and(|v| self.engine.gt_is_one(&v))
     }
 
     /// Settles the batch like [`PairingAccumulator::settle`], but on
     /// failure *isolates* the offending checks instead of discarding
-    /// the whole batch: the pushed checks are bisected (with the same
-    /// per-check randomizers, so subset products compose exactly) and
-    /// the indices of every failing check are returned, in push order.
+    /// the whole batch: the pushed checks are bisected, with the same
+    /// per-check randomizers throughout, and the indices of every
+    /// failing check are returned, in push order.
     ///
-    /// With the randomizers fixed up front the folded product of a
-    /// parent subset is the product of its halves, so a failing subset
-    /// always has a failing half — the search visits O(k·log n) subsets
-    /// for k bad checks among n, and every subset verification reuses
-    /// the engine's cached `G2Prepared` line schedules (the Miller-loop
-    /// precomputation is paid once per distinct G2 point, not once per
-    /// bisection level).
+    /// Each evaluated subset S yields its G_T value V(S): the final
+    /// exponentiation of S's folded Miller product, which is one iff S's
+    /// folded equation holds. With the randomizers fixed up front, V is
+    /// multiplicative over disjoint subsets (bilinearity, for inputs in
+    /// G1 × G2 — the precondition the soundness bound already assumes).
+    /// So a failing subset S evaluates only its left half L (the smaller
+    /// one, `split_at(len / 2)`) and *derives* its right half as
+    /// V(R) = V(S) · conj(V(L)): G_T lies in the cyclotomic subgroup,
+    /// where conjugation is inversion, so the derivation costs one F_p^k
+    /// multiplication and no Miller loop or final exponentiation. Each
+    /// half whose value is not one is bisected further; a failing
+    /// singleton is a bad check. For k bad checks among n this is at
+    /// most k⌈log₂n⌉ subset evaluations after the first pass, and every
+    /// evaluation reuses the engine's cached `G2Prepared` line schedules
+    /// (the Miller-loop precomputation is paid once per distinct G2
+    /// point, not once per bisection level).
     ///
     /// # Errors
     ///
@@ -149,32 +163,20 @@ impl<'e> PairingAccumulator<'e> {
     /// does not hold; `Ok(())` means the whole batch verified. An
     /// empty batch is vacuously `Ok(())`.
     pub fn settle_isolating(mut self) -> Result<(), Vec<usize>> {
-        if self.checks.is_empty() {
-            return Ok(());
-        }
         let checks = std::mem::take(&mut self.checks);
         let rhos = self.draw_randomizers(checks.len());
-        let all: Vec<usize> = (0..checks.len()).collect();
-        if self.verify_subset(&checks, &rhos, &all) {
-            return Ok(());
+        let tower = self.engine.curve().tower();
+        let bad = bisect(
+            checks.len(),
+            |subset| self.subset_value(&checks, &rhos, subset),
+            |v| self.engine.gt_is_one(v),
+            |parent, left| tower.fpk_mul(parent, &tower.fpk_conj(left)),
+        );
+        if bad.is_empty() {
+            Ok(())
+        } else {
+            Err(bad)
         }
-        let mut bad = Vec::new();
-        // Depth-first bisection; only failing subsets are split further.
-        let mut stack = vec![all];
-        while let Some(subset) = stack.pop() {
-            if subset.len() == 1 {
-                bad.extend(subset);
-                continue;
-            }
-            let (left, right) = subset.split_at(subset.len() / 2);
-            for half in [left, right] {
-                if !self.verify_subset(&checks, &rhos, half) {
-                    stack.push(half.to_vec());
-                }
-            }
-        }
-        bad.sort_unstable();
-        Err(bad)
     }
 
     /// Draws one ~128-bit randomizer per check (transcript order ==
@@ -183,9 +185,11 @@ impl<'e> PairingAccumulator<'e> {
         (0..n).map(|_| self.transcript.challenge_short()).collect()
     }
 
-    /// Verifies the folded product over the checks selected by
-    /// `indices`, using the fixed per-check randomizers.
-    fn verify_subset(&self, checks: &[Check], rhos: &[BigUint], indices: &[usize]) -> bool {
+    /// The G_T value V(S) of the subset S selected by `indices`, under
+    /// the fixed per-check randomizers: the final exponentiation of S's
+    /// folded Miller product, one iff S's folded equation holds. `None`
+    /// if it cannot be computed (a failed verification, never a panic).
+    fn subset_value(&self, checks: &[Check], rhos: &[BigUint], indices: &[usize]) -> Option<Fpk> {
         let curve = Arc::clone(self.engine.curve());
         let ops = FpOps(Arc::clone(curve.fp()));
 
@@ -211,7 +215,7 @@ impl<'e> PairingAccumulator<'e> {
         };
         for &i in indices {
             let (Some(check), Some(rho)) = (checks.get(i), rhos.get(i)) else {
-                return false;
+                return None;
             };
             push_term(&check.b, check.a.clone(), rho.clone());
             push_term(&check.d, affine_neg(&ops, &check.c), rho.clone());
@@ -220,16 +224,145 @@ impl<'e> PairingAccumulator<'e> {
         // Groups pair one scalar per point by construction, so the MSM
         // length check cannot fail; treat the impossible error as a
         // failed verification rather than aborting.
-        let Ok(aggs) = curve.g1_msm_short_groups(&groups) else {
-            return false;
-        };
+        let aggs = curve.g1_msm_short_groups(&groups).ok()?;
         let pairs: Vec<(Affine<Fp>, Arc<G2Prepared>)> = g2s
             .iter()
             .zip(aggs)
             .filter(|(_, agg)| !agg.infinity)
             .map(|(q, agg)| (agg, self.engine.prepare_g2(q)))
             .collect();
-        self.engine
-            .gt_is_one(&self.engine.multi_pair_prepared(&pairs))
+        Some(self.engine.multi_pair_prepared(&pairs))
+    }
+}
+
+/// Names the failing members of `0..n` by bisection over a subset value
+/// in a group: `value(S)` is S's value (`None` if it cannot be
+/// computed), `is_one` tests for the identity, and `divide(V(S), V(L))`
+/// is V(S)·V(L)⁻¹. Values must be multiplicative over disjoint subsets,
+/// with the identity for a passing member.
+///
+/// The whole set is evaluated first; a set whose value is one has no
+/// failing member. A failing subset S evaluates only its left half L of
+/// `split_at(len / 2)` and derives the right half's value by `divide`,
+/// so each failing subset of two or more members costs one evaluation.
+/// Halves whose value is not one are split further, down to failing
+/// singletons. A subset whose value could not be computed counts as
+/// failing and has both halves evaluated directly. Returns the failing
+/// members in ascending order.
+fn bisect<V>(
+    n: usize,
+    mut value: impl FnMut(&[usize]) -> Option<V>,
+    is_one: impl Fn(&V) -> bool,
+    divide: impl Fn(&V, &V) -> V,
+) -> Vec<usize> {
+    let passes = |v: &Option<V>| v.as_ref().is_some_and(&is_one);
+    let all: Vec<usize> = (0..n).collect();
+    let whole = value(&all);
+    if passes(&whole) {
+        return Vec::new();
+    }
+    let mut bad = Vec::new();
+    // Depth-first; only failing subsets are split further.
+    let mut stack = vec![(all, whole)];
+    while let Some((subset, v)) = stack.pop() {
+        if subset.len() == 1 {
+            bad.extend(subset);
+            continue;
+        }
+        let (left, right) = subset.split_at(subset.len() / 2);
+        let v_left = value(left);
+        let v_right = match (&v, &v_left) {
+            (Some(parent), Some(l)) => Some(divide(parent, l)),
+            _ => value(right),
+        };
+        for (half, v) in [(left, v_left), (right, v_right)] {
+            if !passes(&v) {
+                stack.push((half.to_vec(), v));
+            }
+        }
+    }
+    bad.sort_unstable();
+    bad
+}
+
+#[cfg(test)]
+mod tests {
+    use super::bisect;
+
+    /// ⌈log₂n⌉ for n ≥ 1.
+    fn ceil_log2(n: usize) -> usize {
+        n.next_power_of_two().trailing_zeros() as usize
+    }
+
+    /// Runs the bisection on a toy group — u64 under wrapping addition,
+    /// bad check i worth `1 << i`, good checks worth 0, so no subset of
+    /// bad checks cancels — and returns the named checks and the number
+    /// of subset evaluations after the first pass.
+    fn toy(n: usize, bad: &[usize], computable: impl Fn(&[usize]) -> bool) -> (Vec<usize>, usize) {
+        let mut evaluations = 0usize;
+        let found = bisect(
+            n,
+            |subset| {
+                evaluations += 1;
+                computable(subset).then(|| {
+                    subset
+                        .iter()
+                        .filter(|i| bad.contains(i))
+                        .fold(0u64, |v, &i| v.wrapping_add(1 << i))
+                })
+            },
+            |v| *v == 0,
+            |parent, left| parent.wrapping_sub(*left),
+        );
+        (found, evaluations - 1)
+    }
+
+    fn assert_exact(n: usize, bad: &[usize]) {
+        let (found, after_first) = toy(n, bad, |_| true);
+        assert_eq!(found, bad, "n = {n}");
+        let bound = bad.len() * ceil_log2(n);
+        assert!(
+            after_first <= bound,
+            "n = {n}, bad = {bad:?}: {after_first} evaluations > k⌈log₂n⌉ = {bound}"
+        );
+    }
+
+    #[test]
+    fn names_every_fault_set_of_up_to_two_within_the_bound() {
+        for n in 1..=12 {
+            assert_exact(n, &[]);
+            for i in 0..n {
+                assert_exact(n, &[i]);
+                for j in i + 1..n {
+                    assert_exact(n, &[i, j]);
+                }
+            }
+        }
+        for i in 0..33 {
+            assert_exact(33, &[i]);
+        }
+    }
+
+    #[test]
+    fn all_bad_evaluates_each_internal_node_once() {
+        let all: Vec<usize> = (0..33).collect();
+        assert_exact(33, &all);
+        // A bisection tree over n leaves has n − 1 internal nodes, and
+        // each costs exactly one evaluation.
+        let (_, after_first) = toy(33, &all, |_| true);
+        assert_eq!(after_first, 32);
+    }
+
+    #[test]
+    fn an_uncomputable_subset_fails_closed() {
+        // The whole set's value is missing: it counts as failing and both
+        // halves are evaluated directly, which still names the bad set.
+        let (found, after_first) = toy(8, &[5], |s| s.len() != 8);
+        assert_eq!(found, [5]);
+        assert_eq!(after_first, 4);
+        // A missing left half counts as failing, and its right sibling is
+        // evaluated directly: check 4 is named though it would pass.
+        let (found, _) = toy(8, &[5], |s| s != [4]);
+        assert_eq!(found, [4, 5]);
     }
 }

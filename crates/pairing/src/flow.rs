@@ -189,7 +189,8 @@ pub fn emit_miller_loop<F: PairingFlow>(
 /// `(ly, lx, lt)` coefficients **in consumption order** — the
 /// `G2Prepared` precomputation. The schedule (NAF digits, BN ψ-tail) is
 /// static per curve, so the recorded sequence replays against any G1
-/// point via [`emit_miller_loop_with_lines`], skipping every
+/// point via [`emit_miller_loop_with_lines`] — alone or sharing one
+/// squaring chain with other pairs' schedules — skipping every
 /// `dbl_step`/`add_step` of the ordinary loop. The coefficients are
 /// exactly the values the interleaved loop would produce, so the replayed
 /// accumulator is bit-identical to [`emit_miller_loop`].
@@ -246,38 +247,59 @@ pub fn emit_g2_line_schedule<F: PairingFlow>(
     lines
 }
 
-/// Replays a recorded line schedule (see [`emit_g2_line_schedule`])
-/// against a G1 point: the squaring chain, sparse line multiplications,
-/// and negative-parameter conjugation of [`emit_miller_loop`], with every
-/// Q-side doubling/addition replaced by a recorded coefficient triple.
-/// Bit-identical to the interleaved loop on the same inputs.
+/// One pairing of a multi-Miller replay: a G1 point's `(x, y)` and the
+/// G2 line schedule recorded by [`emit_g2_line_schedule`].
+pub type ReplayPair<'a, F> = (
+    &'a <F as PairingFlow>::Fp,
+    &'a <F as PairingFlow>::Fp,
+    &'a [[<F as PairingFlow>::Fq; 3]],
+);
+
+/// Replays recorded line schedules (see [`emit_g2_line_schedule`])
+/// against their G1 points as **one** multi-Miller loop: the squaring
+/// chain, sparse line multiplications, and negative-parameter
+/// conjugation of [`emit_miller_loop`], with every Q-side
+/// doubling/addition replaced by a recorded coefficient triple.
+///
+/// Each [`ReplayPair`] `(px, py, lines)` is one pairing. The pairs
+/// share a single accumulator, so each NAF step pays one `fpk_sqr`
+/// however many pairs there are, then multiplies in every pair's line(s)
+/// for that step.
+/// Since (Π fᵢ)² = Π fᵢ² and conjugation is a field automorphism, the
+/// result is bit-identical to the in-order product of the pairs'
+/// separate interleaved loops; one entry is exactly one Miller loop.
 ///
 /// # Panics
 ///
-/// Panics if `lines` does not hold exactly the curve's schedule length —
-/// a schedule recorded for a different curve is a programmer error, never
-/// a data-dependent condition.
+/// Panics if any schedule does not hold exactly the curve's schedule
+/// length — a schedule recorded for a different curve is a programmer
+/// error, never a data-dependent condition.
 pub fn emit_miller_loop_with_lines<F: PairingFlow>(
     curve: &Curve,
     flow: &mut F,
-    px: &F::Fp,
-    py: &F::Fp,
-    lines: &[[F::Fq; 3]],
+    pairs: &[ReplayPair<'_, F>],
 ) -> F::Fpk {
     let param = curve.miller_param();
     let negative = param.is_negative();
     let naf = param.magnitude().naf();
 
+    // Every schedule shares the curve's static layout, so one cursor
+    // indexes the current step's line(s) in all of them.
     let mut next = 0usize;
     let mut f = flow.fpk_one();
+    let mul_lines = |flow: &mut F, mut f: F::Fpk, next: usize, count: usize| {
+        for (px, py, lines) in pairs {
+            for line in &lines[next..next + count] {
+                f = apply_line_coeffs(curve, flow, &f, line, px, py);
+            }
+        }
+        f
+    };
     for i in (0..naf.len().saturating_sub(1)).rev() {
         f = flow.fpk_sqr(&f);
-        f = apply_line_coeffs(curve, flow, &f, &lines[next], px, py);
-        next += 1;
-        if naf[i] != 0 {
-            f = apply_line_coeffs(curve, flow, &f, &lines[next], px, py);
-            next += 1;
-        }
+        let count = if naf[i] != 0 { 2 } else { 1 };
+        f = mul_lines(flow, f, next, count);
+        next += count;
     }
 
     if negative {
@@ -285,17 +307,17 @@ pub fn emit_miller_loop_with_lines<F: PairingFlow>(
     }
 
     if curve.family() == Family::Bn {
-        f = apply_line_coeffs(curve, flow, &f, &lines[next], px, py);
-        next += 1;
-        f = apply_line_coeffs(curve, flow, &f, &lines[next], px, py);
-        next += 1;
+        f = mul_lines(flow, f, next, 2);
+        next += 2;
     }
 
-    assert_eq!(
-        next,
-        lines.len(),
-        "line schedule length matches the curve's Miller schedule"
-    );
+    for (_, _, lines) in pairs {
+        assert_eq!(
+            next,
+            lines.len(),
+            "line schedule length matches the curve's Miller schedule"
+        );
+    }
     f
 }
 

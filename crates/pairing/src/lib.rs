@@ -20,7 +20,7 @@ pub mod value;
 pub use accumulate::PairingAccumulator;
 pub use flow::{
     emit_final_exponentiation, emit_g2_line_schedule, emit_miller_loop,
-    emit_miller_loop_with_lines, emit_pairing, PairingFlow,
+    emit_miller_loop_with_lines, emit_pairing, PairingFlow, ReplayPair,
 };
 pub use oracle::oracle_pair;
 pub use prepared::G2Prepared;

@@ -5,8 +5,9 @@
 //! parameter, BN ψ-tail) — never on the G1 side. [`G2Prepared`] runs that
 //! Q-side once and records the ordered coefficient triples, so every
 //! later pairing against the same Q replays the schedule
-//! ([`crate::flow::emit_miller_loop_with_lines`]) and skips all
-//! projective doubling/addition work. This is the ark/halo2 `G2Prepared`
+//! ([`crate::flow::emit_miller_loop_with_lines`], where many prepared
+//! points share one squaring chain) and skips all projective
+//! doubling/addition work. This is the ark/halo2 `G2Prepared`
 //! idiom; it pays off exactly where serving workloads concentrate —
 //! long-lived BLS public keys, the G2 generator, a KZG SRS element
 //! `[τ]₂` — and the engine keeps a bounded cache of them

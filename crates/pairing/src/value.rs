@@ -8,7 +8,7 @@
 
 use crate::flow::{
     emit_final_exponentiation, emit_miller_loop, emit_miller_loop_with_lines, emit_pairing,
-    PairingFlow,
+    PairingFlow, ReplayPair,
 };
 use crate::prepared::G2Prepared;
 use finesse_curves::cache::{g2_point_key, PointKeyedCache};
@@ -253,45 +253,31 @@ impl PairingEngine {
     /// (either side) contribute the GT identity. This is the one
     /// multi-pairing fold: `multi_pair` prepares its Q sides and calls it.
     ///
-    /// The Miller loops are independent, so with more than one pair and
-    /// [`finesse_parallel::current_threads`] above 1 they run on scoped
-    /// threads; the Fpk loop values are then folded **in input order**
-    /// and the single final exponentiation stays serial. Field
-    /// multiplication in Fpk is commutative and associative, so the
-    /// result is bit-identical to the serial pass at any thread count.
+    /// The pairs are split into one contiguous share per thread of
+    /// [`finesse_parallel::current_threads`], and each share runs as one
+    /// multi-Miller loop ([`emit_miller_loop_with_lines`]): one Fpk
+    /// squaring chain per share, not one per pair. At one thread the
+    /// whole product is one chain; with no more pairs than threads each
+    /// pair keeps its own thread. The share products are folded **in
+    /// input order** and the single final exponentiation stays serial.
+    /// Field multiplication in Fpk is commutative and associative, so the
+    /// result is bit-identical to the product of per-pair Miller loops at
+    /// any thread count.
     pub fn multi_pair_prepared(&self, pairs: &[(Affine<Fp>, Arc<G2Prepared>)]) -> Fpk {
         let tower = self.curve.tower();
-        let live: Vec<(&Affine<Fp>, &Arc<G2Prepared>)> = pairs
+        let live: Vec<(&Affine<Fp>, &G2Prepared)> = pairs
             .iter()
             .filter(|(p, prep)| !p.infinity && !prep.is_infinity())
-            .map(|(p, prep)| (p, prep))
+            .map(|(p, prep)| (p, prep.as_ref()))
             .collect();
-        if live.is_empty() {
-            return tower.fpk_one();
+        let product =
+            finesse_parallel::par_map_chunks(&live, 1, |share| self.replay_miller_loops(share))
+                .into_iter()
+                .reduce(|a, b| tower.fpk_mul(&a, &b));
+        match product {
+            Some(product) => self.final_exponentiation(&product),
+            None => tower.fpk_one(),
         }
-        // One Miller loop per chunk element; chunks of one pair keep the
-        // schedule maximally balanced (a Miller loop is ~ms-scale, far
-        // above spawn cost).
-        let partials = finesse_parallel::par_map_chunks(&live, 1, |chunk| {
-            let mut acc: Option<Fpk> = None;
-            for (p, prep) in chunk {
-                let m = self.miller_loop_prepared(p, prep);
-                acc = Some(match acc {
-                    Some(a) => tower.fpk_mul(&a, &m),
-                    None => m,
-                });
-            }
-            // par_map_chunks never passes an empty chunk; the GT
-            // identity is the neutral fold value regardless.
-            acc.unwrap_or_else(|| tower.fpk_one())
-        });
-        let product = partials
-            .into_iter()
-            .reduce(|a, b| tower.fpk_mul(&a, &b))
-            // The live set is non-empty here, so there is at least one
-            // partial; the identity keeps the fold total.
-            .unwrap_or_else(|| tower.fpk_one());
-        self.final_exponentiation(&product)
     }
 
     /// Checks a two-term pairing equation `e(P1, Q1) == e(P2, Q2)` via
@@ -328,9 +314,21 @@ impl PairingEngine {
         if p.infinity || prep.is_infinity() {
             return self.curve.tower().fpk_one();
         }
+        self.replay_miller_loops(&[(p, prep)])
+    }
+
+    /// One multi-Miller loop over finite pairs: every pair's schedule
+    /// replayed against its G1 point on one shared squaring chain.
+    fn replay_miller_loops(&self, pairs: &[(&Affine<Fp>, &G2Prepared)]) -> Fpk {
+        let Some((p, prep)) = pairs.first() else {
+            return self.curve.tower().fpk_one();
+        };
         let mut flow = ValueFlow::new(&self.curve, p, prep.point());
-        let (px, py) = flow.input_p();
-        emit_miller_loop_with_lines(&self.curve, &mut flow, &px, &py, prep.lines())
+        let inputs: Vec<ReplayPair<'_, ValueFlow<'_>>> = pairs
+            .iter()
+            .map(|(p, prep)| (&p.x, &p.y, prep.lines()))
+            .collect();
+        emit_miller_loop_with_lines(&self.curve, &mut flow, &inputs)
     }
 
     /// The final exponentiation alone.
@@ -349,11 +347,6 @@ impl PairingEngine {
     /// GT multiplication.
     pub fn gt_mul(&self, a: &Fpk, b: &Fpk) -> Fpk {
         self.curve.tower().fpk_mul(a, b)
-    }
-
-    /// The GT identity.
-    pub fn gt_one(&self) -> Fpk {
-        self.curve.tower().fpk_one()
     }
 
     /// True iff `g` is the GT identity.

@@ -2,8 +2,9 @@
 //!
 //! The workspace's one thread-pool idiom: opt-in data parallelism on std
 //! scoped threads (the build is offline, so no rayon), shared by the
-//! Pippenger MSM shards in `finesse-curves`, the parallel Miller loops in
-//! `finesse-pairing`, and the design-space sweep in `finesse-dse`.
+//! Pippenger MSM shards and short-MSM groups in `finesse-curves`, the
+//! parallel Miller loops in `finesse-pairing`, and the design-space sweep
+//! in `finesse-dse`.
 //!
 //! The thread count is a process-wide knob resolved once from the
 //! `FINESSE_THREADS` environment variable (falling back to

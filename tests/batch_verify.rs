@@ -1,17 +1,20 @@
 //! Soundness and determinism tests for deferred pairing accumulation:
 //! the randomized batch verifier must accept every honest batch and
 //! reject any tampered one on all seven Table 2 curves, the prepared-G2
-//! replay path must be bit-identical to the interleaved Miller loop, and
-//! the whole surface must be thread-count deterministic.
+//! replay path (one shared squaring chain per thread) must be
+//! bit-identical to the interleaved Miller loops, the isolating settle
+//! must name exactly the checks that fail one by one, and the whole
+//! surface must be thread-count deterministic.
 //!
 //! CI runs this suite once with `FINESSE_THREADS=1` and once
 //! unconstrained; the explicit `with_threads` pins below cover the
 //! scoped-override path on top of that.
 
 use finesse_curves::{all_specs, Affine, Curve};
-use finesse_ff::{BigUint, Fp, Fq};
+use finesse_ff::{BigUint, Fp, Fpk, Fq};
 use finesse_pairing::{
-    G2Prepared, PairingAccumulator, PairingEngine, SplitMix64Transcript, Transcript,
+    emit_miller_loop_with_lines, G2Prepared, PairingAccumulator, PairingEngine, ReplayPair,
+    SplitMix64Transcript, Transcript, ValueFlow,
 };
 use finesse_parallel::with_threads;
 use std::sync::Arc;
@@ -312,5 +315,165 @@ fn settle_isolating_pinpoints_faults_bls12_381() {
     let c = Curve::by_name("BLS12-381");
     for bad in [vec![13usize], vec![5, 21], vec![0, 1, 15, 16, 31]] {
         assert_isolates(&c, &bad);
+    }
+}
+
+/// `n` pairs over distinct G1 points and four distinct G2 points.
+fn distinct_pairs(c: &Arc<Curve>, n: u64) -> Vec<(Affine<Fp>, Affine<Fq>)> {
+    (0..n)
+        .map(|i| {
+            (
+                c.g1_mul(c.g1_generator(), &BigUint::from_u64(i * i + 5)),
+                c.g2_mul(c.g2_generator(), &BigUint::from_u64(i % 4 + 7)),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn shared_chain_matches_the_interleaved_product_on_all_seven() {
+    for spec in all_specs() {
+        let sizes: &[usize] = if spec.name == "BLS12-381" {
+            &[1, 2, 5, 31]
+        } else {
+            &[1, 2, 5]
+        };
+        let c = Curve::by_name(spec.name);
+        let e = PairingEngine::new(c.clone());
+        let tower = c.tower();
+        let pairs = distinct_pairs(&c, sizes[sizes.len() - 1] as u64);
+        let loops: Vec<Fpk> = pairs.iter().map(|(p, q)| e.miller_loop(p, q)).collect();
+        let prepared: Vec<(Affine<Fp>, Arc<G2Prepared>)> = pairs
+            .iter()
+            .map(|(p, q)| (p.clone(), e.prepare_g2(q)))
+            .collect();
+        for &n in sizes {
+            // The in-order product of the independent interleaved loops.
+            let product = loops[..n]
+                .iter()
+                .cloned()
+                .reduce(|a, b| tower.fpk_mul(&a, &b))
+                .unwrap();
+            let inputs: Vec<ReplayPair<'_, ValueFlow<'_>>> = prepared[..n]
+                .iter()
+                .map(|(p, prep)| (&p.x, &p.y, prep.lines()))
+                .collect();
+            let mut flow = ValueFlow::new(&c, &pairs[0].0, &pairs[0].1);
+            assert_eq!(
+                emit_miller_loop_with_lines(&c, &mut flow, &inputs),
+                product,
+                "{}: one shared chain over {n} pairs",
+                spec.name
+            );
+            let want = e.final_exponentiation(&product);
+            for threads in [1, 2] {
+                assert_eq!(
+                    with_threads(threads, || e.multi_pair_prepared(&prepared[..n])),
+                    want,
+                    "{}: multi_pair_prepared over {n} pairs at {threads} threads",
+                    spec.name
+                );
+            }
+        }
+    }
+}
+
+/// Valid BLS-shaped checks cycling over two scalars, the ones at
+/// `forged` with their G1 side moved to the adjacent group element.
+/// Checks repeat, so the one-by-one verdicts are memoised per distinct
+/// check.
+struct IsolationCase<'e> {
+    c: Arc<Curve>,
+    e: &'e PairingEngine,
+    verdicts: Vec<((u64, bool), bool)>,
+}
+
+impl IsolationCase<'_> {
+    fn check(&self, i: usize, forged: bool) -> (Affine<Fp>, Affine<Fq>, Affine<Fp>, Affine<Fq>) {
+        let (mut p1, q1, p2, q2) = valid_check(&self.c, 3 + i as u64 % 2);
+        if forged {
+            p1 = self.c.g1_add(&p1, self.c.g1_generator());
+        }
+        (p1, q1, p2, q2)
+    }
+
+    /// Whether check `i` holds on its own, by `pairing_equation_holds`.
+    fn holds_alone(&mut self, i: usize, forged: bool) -> bool {
+        let key = (i as u64 % 2, forged);
+        if let Some((_, v)) = self.verdicts.iter().find(|(k, _)| *k == key) {
+            return *v;
+        }
+        let (p1, q1, p2, q2) = self.check(i, forged);
+        let v = self.e.pairing_equation_holds(&p1, &q1, &p2, &q2);
+        self.verdicts.push((key, v));
+        v
+    }
+
+    /// `settle_isolating` over `n` checks must name exactly the checks
+    /// that fail one by one, at 1 and 2 threads.
+    fn assert_matches_one_by_one(&mut self, n: usize, forged: &[usize]) {
+        let checks: Vec<_> = (0..n).map(|i| self.check(i, forged.contains(&i))).collect();
+        let failing: Vec<usize> = (0..n)
+            .filter(|&i| !self.holds_alone(i, forged.contains(&i)))
+            .collect();
+        let want = if failing.is_empty() {
+            Ok(())
+        } else {
+            Err(failing)
+        };
+        for threads in [1, 2] {
+            let got = with_threads(threads, || {
+                let mut acc = PairingAccumulator::new(self.e);
+                for (p1, q1, p2, q2) in &checks {
+                    acc.push_check(p1, q1, p2, q2);
+                }
+                acc.settle_isolating()
+            });
+            assert_eq!(
+                got,
+                want,
+                "{}: n = {n}, forged {forged:?}, {threads} threads",
+                self.c.name()
+            );
+        }
+    }
+}
+
+#[test]
+fn settle_isolating_names_what_fails_alone_on_all_seven() {
+    for (k, spec) in all_specs().into_iter().enumerate() {
+        let c = Curve::by_name(spec.name);
+        let e = PairingEngine::new(c.clone());
+        let mut case = IsolationCase {
+            c,
+            e: &e,
+            verdicts: Vec::new(),
+        };
+        case.assert_matches_one_by_one(5, &[k % 5]);
+    }
+}
+
+#[test]
+fn settle_isolating_names_what_fails_alone_at_the_edges() {
+    for name in ["BN254N", "BLS12-381"] {
+        let c = Curve::by_name(name);
+        let e = PairingEngine::new(c.clone());
+        let mut case = IsolationCase {
+            c,
+            e: &e,
+            verdicts: Vec::new(),
+        };
+        for n in [1usize, 2, 3, 33] {
+            let mut fault_sets = vec![vec![0], vec![n - 1]];
+            if n >= 2 {
+                let mid = (n - 1) / 2;
+                fault_sets.push(vec![mid, mid + 1]);
+            }
+            fault_sets.dedup();
+            for forged in fault_sets {
+                case.assert_matches_one_by_one(n, &forged);
+            }
+        }
+        case.assert_matches_one_by_one(5, &[0, 1, 2, 3, 4]);
     }
 }
