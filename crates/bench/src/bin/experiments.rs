@@ -187,16 +187,18 @@ type Measure = fn(&Arc<Curve>) -> f64;
 /// the generator routes through the comb, which the `_fixed` metrics
 /// time.
 const METRICS: &[(&str, Measure)] = &[
+    // The F_p metrics time dependent chains, each product the next
+    // operand, as `pow`, `sqrt` and inversion run them.
     ("fp_mul", |curve| {
-        let (a, b) = (curve.fp().sample(1), curve.fp().sample(2));
+        let (mut x, b) = (curve.fp().sample(1), curve.fp().sample(2));
         bench_ns(|| {
-            black_box(black_box(&a) * black_box(&b));
+            x = black_box(&x * &b);
         })
     }),
     ("fp_sqr", |curve| {
-        let a = curve.fp().sample(1);
+        let mut x = curve.fp().sample(1);
         bench_ns(|| {
-            black_box(black_box(&a).square());
+            x = black_box(x.square());
         })
     }),
     ("fq_mul", |curve| {
@@ -311,10 +313,30 @@ const METRICS: &[(&str, Measure)] = &[
         })
     }),
     ("decode_g2", |curve| {
-        // A compressed non-generator key: the strict decode pays the
-        // F_q square root and the subgroup check, as on the wire.
-        let q = curve.g2_mul(curve.g2_generator(), &bench_scalar(curve));
-        let bytes = curve.encode_g2(&q, finesse_curves::Compression::Compressed);
+        // Compressed non-generator keys, one more than the decode cache
+        // holds, taken in rotation: in LRU order every lookup misses, so
+        // each decode pays the F_q square root and the subgroup check, as
+        // a key seen for the first time on the wire does.
+        let (_, capacity) = curve.g2_decode_cache_stats();
+        let keys = g2_wire_keys(curve, capacity + 1);
+        for bytes in &keys {
+            curve.decode_g2(bytes).expect("honest encoding");
+        }
+        assert_eq!(
+            curve.g2_decode_cache_stats(),
+            (capacity, capacity),
+            "the rotation fills the decode cache"
+        );
+        let mut next = keys.iter().cycle();
+        bench_ns(|| {
+            let bytes = next.next().expect("a cycle never ends");
+            black_box(curve.decode_g2(black_box(bytes)).expect("honest encoding"));
+        })
+    }),
+    ("decode_g2_hit", |curve| {
+        // One warm key: the decode cache returns the point it remembered.
+        let bytes = g2_wire_keys(curve, 1).remove(0);
+        curve.decode_g2(&bytes).expect("honest encoding");
         bench_ns(|| {
             black_box(curve.decode_g2(black_box(&bytes)).expect("honest encoding"));
         })
@@ -510,6 +532,20 @@ fn bench_scalar(curve: &Arc<Curve>) -> BigUint {
     BigUint::from_hex("e4c91a3bf3a77d9f1a4b5c6d7e8f90123456789abcdef0fedcba98765432100f")
         .expect("literal parses")
         .modpow(&BigUint::from_u64(3), curve.r())
+}
+
+/// `n` distinct compressed G2 encodings, `[i·k]G2` for `i = 1..=n` and
+/// the bench scalar `k`: non-generator keys, as on the wire.
+fn g2_wire_keys(curve: &Arc<Curve>, n: usize) -> Vec<Vec<u8>> {
+    let base = curve.g2_mul(curve.g2_generator(), &bench_scalar(curve));
+    let mut q = base.clone();
+    (0..n)
+        .map(|_| {
+            let bytes = curve.encode_g2(&q, finesse_curves::Compression::Compressed);
+            q = curve.g2_add(&q, &base);
+            bytes
+        })
+        .collect()
 }
 
 /// One row of the regression-gate manifest.
@@ -1470,7 +1506,7 @@ mod tests {
     #[test]
     fn committed_manifest_is_valid() {
         let gates = parse_gates(COMMITTED).expect("the committed manifest validates");
-        assert_eq!(gates.len(), 19);
+        assert_eq!(gates.len(), 20);
     }
 
     #[test]

@@ -13,7 +13,10 @@
 //! Keys are built with [`g1_point_key`] / [`g2_point_key`] from the
 //! canonical (non-Montgomery) residues of each coordinate, with explicit
 //! length framing per limb run — two points collide iff they are the same
-//! group element, independent of any internal representation.
+//! group element, independent of any internal representation. The one
+//! cache keyed otherwise is [`Curve::decode_g2`](crate::Curve::decode_g2)'s,
+//! whose key is the exact encoding: a length word, then the bytes packed
+//! into `u64` words.
 
 use crate::point::Affine;
 use finesse_ff::{Fp, Fq};

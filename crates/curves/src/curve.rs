@@ -21,12 +21,15 @@ use crate::wire::{fp_sign, fq_sign};
 use finesse_ff::{BigInt, BigUint, FieldCtxError, Fp, FpCtx, Fq, TowerCtx, TowerError, MAX_LIMBS};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Entry bound for each per-curve fixed-base table cache: LRU eviction
 /// above this many distinct registered bases. A comb table is a few
 /// hundred affine points, so 32 long-lived bases (public keys, SRS
 /// elements) stay warm within ~1 MiB per group even on 638-bit curves.
+/// The strict-decode cache of G2 encodings shares the bound, so every
+/// key worth a table (or a prepared Miller-loop schedule, same bound)
+/// also stays decoded.
 const PRECOMPUTED_CACHE_CAPACITY: usize = 32;
 
 /// Which sextic twist the curve uses (affects line-evaluation sparsity).
@@ -241,6 +244,9 @@ pub struct Curve {
     g1_precomp: Mutex<PointKeyedCache<G1Precomputed>>,
     /// Fixed-base tables for registered G2 bases (same contract).
     g2_precomp: Mutex<PointKeyedCache<G2Precomputed>>,
+    /// Successful strict G2 decodes, keyed by the exact input bytes
+    /// (see [`Curve::decode_g2`]).
+    g2_decoded: Mutex<PointKeyedCache<Affine<Fq>>>,
     /// Lazily derived and gcd-certified fast G1 subgroup-check data
     /// (see the [`crate::subgroup`] module).
     g1_subgroup: OnceLock<crate::subgroup::G1Check>,
@@ -440,6 +446,7 @@ impl Curve {
             gls_g2,
             g1_precomp: Mutex::new(PointKeyedCache::new(PRECOMPUTED_CACHE_CAPACITY)),
             g2_precomp: Mutex::new(PointKeyedCache::new(PRECOMPUTED_CACHE_CAPACITY)),
+            g2_decoded: Mutex::new(PointKeyedCache::new(PRECOMPUTED_CACHE_CAPACITY)),
             g1_subgroup: OnceLock::new(),
             g2_subgroup: OnceLock::new(),
             table2_security,
@@ -877,6 +884,14 @@ impl Curve {
     /// The lazy cell holding the certified G2 subgroup-check data.
     pub(crate) fn g2_subgroup_cache(&self) -> &OnceLock<crate::subgroup::G2Check> {
         &self.g2_subgroup
+    }
+
+    /// The locked cache of successful strict G2 decodes. A poisoned lock
+    /// is recovered: the cache only ever holds fully validated points.
+    pub(crate) fn g2_decode_cache(&self) -> MutexGuard<'_, PointKeyedCache<Affine<Fq>>> {
+        self.g2_decoded
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// ψ's eigenvalue `p mod r` on the r-torsion.

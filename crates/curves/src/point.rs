@@ -110,9 +110,6 @@ impl FieldOps for FpOps {
     fn is_zero(&self, a: &Fp) -> bool {
         a.is_zero()
     }
-    fn batch_inv(&self, elems: &mut [Fp]) {
-        Fp::batch_invert(elems);
-    }
 }
 
 /// [`FieldOps`] over the twist field F_q (G2 coordinates).
@@ -1396,16 +1393,49 @@ mod tests {
         assert!(batch_to_affine(&ops, &[]).is_empty());
     }
 
+    /// The BLS12-381 base field: a realistic 381-bit modulus.
+    fn bls12_381_fp() -> Arc<FpCtx> {
+        let p = BigUint::from_hex(
+            "1a0111ea397fe69a4b1ba7b6434bacd764774b84f38512bf6730d2a0f6b0f6241eabfffeb153ffffb9feffffffffaaab",
+        )
+        .unwrap();
+        FpCtx::new(p).unwrap()
+    }
+
+    #[test]
+    fn fp_ops_batch_inv_matches_individual() {
+        // The `FieldOps::batch_inv` default over `FpOps` (G1 coordinates,
+        // Pippenger buckets, Lagrange denominators) agrees with one
+        // Fermat inversion per element, at every size.
+        let c = bls12_381_fp();
+        let ops = FpOps(Arc::clone(&c));
+        let mut batch: Vec<Fp> = (1..20u64).map(|s| c.sample(s)).collect();
+        let individual: Vec<Fp> = batch.iter().map(Fp::invert).collect();
+        ops.batch_inv(&mut batch);
+        assert_eq!(batch, individual);
+        // Degenerate sizes.
+        let mut empty: Vec<Fp> = vec![];
+        ops.batch_inv(&mut empty);
+        let mut single = vec![c.sample(5)];
+        let expect = single[0].invert();
+        ops.batch_inv(&mut single);
+        assert_eq!(single[0], expect);
+    }
+
+    #[test]
+    #[should_panic(expected = "inversion of zero")]
+    fn fp_ops_batch_inv_zero_panics() {
+        let c = bls12_381_fp();
+        let mut batch = vec![c.one(), c.zero()];
+        FpOps(Arc::clone(&c)).batch_inv(&mut batch);
+    }
+
     #[test]
     fn fq_ops_batch_inv_matches_individual() {
         // The `FieldOps::batch_inv` default over `FqOps`, on the BLS12-381
         // twist field F_p2 (G2 coordinates): Montgomery's trick must agree
         // with one `fq_inv` per element.
-        let p = BigUint::from_hex(
-            "1a0111ea397fe69a4b1ba7b6434bacd764774b84f38512bf6730d2a0f6b0f6241eabfffeb153ffffb9feffffffffaaab",
-        )
-        .unwrap();
-        let fp = FpCtx::new(p).unwrap();
+        let fp = bls12_381_fp();
         let tower = TowerCtx::sextic_over_fp2(&fp, fp.from_i64(-1), (fp.one(), fp.one())).unwrap();
         let ops = FqOps(&tower);
         let mut elems: Vec<Fq> = (1..9u64).map(|s| tower.fq_sample(s)).collect();

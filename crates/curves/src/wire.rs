@@ -48,7 +48,14 @@
 //! [`finesse_ff::TowerCtx::fq_sqrt`]; about ten on BLS24's F_p4). Only
 //! curve points then reach the subgroup ladder, the largest single step
 //! of an honest decode.
+//!
+//! Steps 4 and 6 are [`Curve::validate_g1`] / [`Curve::validate_g2`],
+//! which every decode ends in and which check in-memory points the same
+//! way. [`Curve::decode_g2`] remembers its successes, keyed by the exact
+//! input bytes, in a bounded per-curve LRU, so a long-lived key is
+//! decoded once while it stays warm; rejections are never remembered.
 
+use crate::cache::PointKey;
 use crate::curve::Curve;
 use crate::point::Affine;
 use finesse_ff::{FieldBytesError, Fp, Fq, TowerCtx};
@@ -249,19 +256,12 @@ impl Curve {
     pub fn decode_g1(&self, bytes: &[u8]) -> Result<Affine<Fp>, DecodeError> {
         let l = self.fp().byte_len();
         let (tag, payload) = split_tag(bytes, l)?;
-        match tag {
-            Tag::Infinity => Ok(Affine::infinity(self.fp().zero())),
+        let p = match tag {
+            Tag::Infinity => Affine::infinity(self.fp().zero()),
             Tag::Uncompressed => {
                 let x = self.fp().from_bytes_be(&payload[..l])?;
                 let y = self.fp().from_bytes_be(&payload[l..])?;
-                let p = Affine::new(x, y);
-                if !self.g1_on_curve(&p) {
-                    return Err(DecodeError::NotOnCurve);
-                }
-                if !self.in_g1_subgroup(&p) {
-                    return Err(DecodeError::NotInSubgroup);
-                }
-                Ok(p)
+                Affine::new(x, y)
             }
             Tag::Compressed(sign) => {
                 let x = self.fp().from_bytes_be(payload)?;
@@ -274,38 +274,61 @@ impl Curve {
                 if fp_sign(&y) != sign {
                     return Err(DecodeError::NonCanonicalSign);
                 }
-                let p = Affine::new(x, y);
-                if !self.in_g1_subgroup(&p) {
-                    return Err(DecodeError::NotInSubgroup);
-                }
-                Ok(p)
+                Affine::new(x, y)
             }
-        }
+        };
+        self.validate_g1(&p)?;
+        Ok(p)
     }
 
     /// Strictly decodes a G2 point; same contract as
     /// [`Curve::decode_g1`].
     ///
+    /// Long-lived keys (BLS public keys, a KZG `[τ]₂`) arrive over and
+    /// over as the same bytes, so a successful decode is remembered in a
+    /// per-curve LRU of 32 entries, the bound of the prepared-G2 cache.
+    /// Its key is the exact input: a length word, then the bytes packed
+    /// into `u64` words, not a digest, so a hit means byte equality and
+    /// returns the point those bytes decoded to, without re-running the
+    /// checks. Rejected inputs are never remembered: malformed bytes pay
+    /// the full check, and get the same [`DecodeError`], every time. See
+    /// [`Curve::g2_decode_cache_stats`].
+    ///
     /// # Errors
     ///
     /// See [`DecodeError`].
     pub fn decode_g2(&self, bytes: &[u8]) -> Result<Affine<Fq>, DecodeError> {
+        let key = wire_key(bytes);
+        if let Some(hit) = self.g2_decode_cache().get(&key) {
+            return Ok((*hit).clone());
+        }
+        // The lock is not held across the decode, so threads decoding
+        // distinct keys do not wait on each other; two threads missing on
+        // the same bytes both decode, and the first insert wins.
+        let q = self.decode_g2_strict(bytes)?;
+        self.g2_decode_cache().get_or_insert_with(key, || q.clone());
+        Ok(q)
+    }
+
+    /// `(len, capacity)` of the strict-decode cache behind
+    /// [`Curve::decode_g2`]: observability for tests and capacity
+    /// planning, not a stability guarantee.
+    pub fn g2_decode_cache_stats(&self) -> (usize, usize) {
+        let cache = self.g2_decode_cache();
+        (cache.len(), cache.capacity())
+    }
+
+    /// The strict G2 decoder behind [`Curve::decode_g2`]'s cache.
+    fn decode_g2_strict(&self, bytes: &[u8]) -> Result<Affine<Fq>, DecodeError> {
         let tower = self.tower();
         let l = tower.fq_byte_len();
         let (tag, payload) = split_tag(bytes, l)?;
-        match tag {
-            Tag::Infinity => Ok(Affine::infinity(tower.fq_zero())),
+        let q = match tag {
+            Tag::Infinity => Affine::infinity(tower.fq_zero()),
             Tag::Uncompressed => {
                 let x = tower.fq_from_bytes_be(&payload[..l])?;
                 let y = tower.fq_from_bytes_be(&payload[l..])?;
-                let q = Affine::new(x, y);
-                if !self.g2_on_curve(&q) {
-                    return Err(DecodeError::NotOnCurve);
-                }
-                if !self.in_g2_subgroup(&q) {
-                    return Err(DecodeError::NotInSubgroup);
-                }
-                Ok(q)
+                Affine::new(x, y)
             }
             Tag::Compressed(sign) => {
                 let x = tower.fq_from_bytes_be(payload)?;
@@ -322,14 +345,64 @@ impl Curve {
                 if fq_sign(tower, &y) != sign {
                     return Err(DecodeError::NonCanonicalSign);
                 }
-                let q = Affine::new(x, y);
-                if !self.in_g2_subgroup(&q) {
-                    return Err(DecodeError::NotInSubgroup);
-                }
-                Ok(q)
+                Affine::new(x, y)
             }
-        }
+        };
+        self.validate_g2(&q)?;
+        Ok(q)
     }
+
+    /// Checks that an in-memory point is in G1: on `E(F_p)`
+    /// ([`DecodeError::NotOnCurve`] otherwise), then in the order-`r`
+    /// subgroup ([`DecodeError::NotInSubgroup`] otherwise), through the
+    /// fast check of [`Curve::in_g1_subgroup`]. These are the last two
+    /// checks of [`Curve::decode_g1`], which ends in this function; use
+    /// it on points that did not come from a decoder before handing them
+    /// to a pairing check. The identity passes.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError::NotOnCurve`] or [`DecodeError::NotInSubgroup`].
+    pub fn validate_g1(&self, p: &Affine<Fp>) -> Result<(), DecodeError> {
+        if !self.g1_on_curve(p) {
+            return Err(DecodeError::NotOnCurve);
+        }
+        if !self.in_g1_subgroup(p) {
+            return Err(DecodeError::NotInSubgroup);
+        }
+        Ok(())
+    }
+
+    /// The G2 counterpart of [`Curve::validate_g1`]: on the twist
+    /// `E'(F_q)`, then in the order-`r` subgroup. Every strict G2 decode
+    /// ends in it.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError::NotOnCurve`] or [`DecodeError::NotInSubgroup`].
+    pub fn validate_g2(&self, q: &Affine<Fq>) -> Result<(), DecodeError> {
+        if !self.g2_on_curve(q) {
+            return Err(DecodeError::NotOnCurve);
+        }
+        if !self.in_g2_subgroup(q) {
+            return Err(DecodeError::NotInSubgroup);
+        }
+        Ok(())
+    }
+}
+
+/// The exact-byte cache key of an encoding: its length, then its bytes
+/// packed big-endian into `u64` words (the last one zero-padded, which
+/// the length word disambiguates).
+fn wire_key(bytes: &[u8]) -> PointKey {
+    let mut key = Vec::with_capacity(1 + bytes.len().div_ceil(8));
+    key.push(bytes.len() as u64);
+    key.extend(bytes.chunks(8).map(|chunk| {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        u64::from_be_bytes(word)
+    }));
+    key
 }
 
 /// Parsed tag with the sign bit extracted.

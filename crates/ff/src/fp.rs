@@ -29,9 +29,10 @@
 //! accelerator runs `SQR` on the same `mmul` unit as `MUL`, and
 //! [`Fp::pow`] is a square-and-multiply ladder over it. Inversion is
 //! Fermat (`x^(p−2)`); batches of inversions should use
-//! [`Fp::batch_invert`] (Montgomery's trick: one inversion plus `3(n−1)`
-//! multiplications). The extension tower's lazy kernels ([`Unreduced`],
-//! [`WideAcc`], [`FpCtx::redc`]) are the only double-width path.
+//! `finesse-curves`' `FieldOps::batch_inv` (Montgomery's trick: one
+//! inversion plus `3(n−1)` multiplications). The extension tower's lazy
+//! kernels ([`Unreduced`], [`WideAcc`], [`FpCtx::redc`]) are the only
+//! double-width path.
 //!
 //! # When `BigUint` is still the right type
 //!
@@ -972,8 +973,6 @@ impl Fp {
 
     /// Multiplicative inverse via Fermat's little theorem (`x^(p-2)`).
     ///
-    /// For many inversions at once, prefer [`Fp::batch_invert`].
-    ///
     /// # Panics
     ///
     /// Panics on zero — inversion of zero is a programming error in every
@@ -982,37 +981,6 @@ impl Fp {
     pub fn invert(&self) -> Fp {
         assert!(!self.is_zero(), "inversion of zero");
         self.pow(&self.ctx.p_minus_2)
-    }
-
-    /// Inverts every element of a slice in place using Montgomery's trick:
-    /// one field inversion plus `3(n−1)` multiplications, instead of `n`
-    /// Fermat exponentiations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any element is zero (same contract as [`Fp::invert`]), or
-    /// if elements come from different field contexts.
-    pub fn batch_invert(elems: &mut [Fp]) {
-        let Some(first) = elems.first() else {
-            return;
-        };
-        let ctx = first.ctx;
-        // prefix[i] = elems[0] · … · elems[i-1]
-        let mut prefix = Vec::with_capacity(elems.len());
-        let mut acc = ctx.one();
-        for e in elems.iter() {
-            assert!(!e.is_zero(), "inversion of zero");
-            prefix.push(acc.clone());
-            acc.mul_assign(e);
-        }
-        // acc = (Π elems)⁻¹; peel off one element per step from the back.
-        let mut inv = acc.invert();
-        for (e, pre) in elems.iter_mut().zip(prefix.iter()).rev() {
-            let mut out = inv.clone();
-            out.mul_assign(pre);
-            inv.mul_assign(e);
-            *e = out;
-        }
     }
 
     /// Square root, `None` for quadratic non-residues.
@@ -1270,30 +1238,6 @@ mod tests {
             let a = c.sample(seed);
             assert_eq!(&a * &a.invert(), c.one());
         }
-    }
-
-    #[test]
-    fn batch_invert_matches_individual() {
-        let c = ctx();
-        let mut batch: Vec<Fp> = (1..20u64).map(|s| c.sample(s)).collect();
-        let individual: Vec<Fp> = batch.iter().map(Fp::invert).collect();
-        Fp::batch_invert(&mut batch);
-        assert_eq!(batch, individual);
-        // Degenerate sizes.
-        let mut empty: Vec<Fp> = vec![];
-        Fp::batch_invert(&mut empty);
-        let mut single = vec![c.sample(5)];
-        let expect = single[0].invert();
-        Fp::batch_invert(&mut single);
-        assert_eq!(single[0], expect);
-    }
-
-    #[test]
-    #[should_panic(expected = "inversion of zero")]
-    fn batch_invert_zero_panics() {
-        let c = ctx();
-        let mut batch = vec![c.one(), c.zero()];
-        Fp::batch_invert(&mut batch);
     }
 
     #[test]

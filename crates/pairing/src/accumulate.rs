@@ -94,6 +94,18 @@ impl<'e> PairingAccumulator<'e> {
 
     /// Defers the check `e(a, b) =? e(c, d)`, absorbing all four points
     /// into the transcript.
+    ///
+    /// `a` and `c` must lie in G1 and `b` and `d` in G2: the settles'
+    /// ≤ 2⁻¹²⁷ soundness bound and the bisection's multiplicativity both
+    /// assume inputs in G1 × G2, and this method does not re-check them.
+    /// Points from [`Curve::decode_g1`] / [`Curve::decode_g2`] qualify;
+    /// check any other point with [`Curve::validate_g1`] /
+    /// [`Curve::validate_g2`] first.
+    ///
+    /// [`Curve::decode_g1`]: finesse_curves::Curve::decode_g1
+    /// [`Curve::decode_g2`]: finesse_curves::Curve::decode_g2
+    /// [`Curve::validate_g1`]: finesse_curves::Curve::validate_g1
+    /// [`Curve::validate_g2`]: finesse_curves::Curve::validate_g2
     pub fn push_check(&mut self, a: &Affine<Fp>, b: &Affine<Fq>, c: &Affine<Fp>, d: &Affine<Fq>) {
         self.transcript.absorb_g1(a);
         self.transcript.absorb_g2(b);
@@ -124,8 +136,9 @@ impl<'e> PairingAccumulator<'e> {
     /// loop over prepared G2 points plus one final exponentiation.
     ///
     /// Returns `true` iff every pushed check holds (up to the ≤ 2⁻¹²⁷
-    /// random-linear-combination soundness error). An empty batch is
-    /// vacuously `true`.
+    /// random-linear-combination soundness error, for checks in
+    /// G1 × G2: see [`PairingAccumulator::push_check`]). An empty batch
+    /// is vacuously `true`.
     pub fn settle(mut self) -> bool {
         let checks = std::mem::take(&mut self.checks);
         let rhos = self.draw_randomizers(checks.len());
@@ -144,7 +157,8 @@ impl<'e> PairingAccumulator<'e> {
     /// exponentiation of S's folded Miller product, which is one iff S's
     /// folded equation holds. With the randomizers fixed up front, V is
     /// multiplicative over disjoint subsets (bilinearity, for inputs in
-    /// G1 × G2 — the precondition the soundness bound already assumes).
+    /// G1 × G2 — the precondition of [`PairingAccumulator::push_check`]
+    /// that the soundness bound already assumes).
     /// So a failing subset S evaluates only its left half L (the smaller
     /// one, `split_at(len / 2)`) and *derives* its right half as
     /// V(R) = V(S) · conj(V(L)): G_T lies in the cyclotomic subgroup,

@@ -225,6 +225,13 @@ impl PairingEngine {
     /// each P — identical Q points share all Q-side work even without an
     /// explicit [`G2Prepared`] handle, and the replayed loops are
     /// bit-identical to the interleaved ones.
+    ///
+    /// The pairing is bilinear only on G1 × G2, and nothing here checks
+    /// membership: decode inputs with
+    /// [`Curve::decode_g1`](finesse_curves::Curve::decode_g1) /
+    /// [`Curve::decode_g2`](finesse_curves::Curve::decode_g2), or check
+    /// them with [`Curve::validate_g1`](finesse_curves::Curve::validate_g1)
+    /// / [`Curve::validate_g2`](finesse_curves::Curve::validate_g2).
     pub fn multi_pair(&self, pairs: &[(Affine<Fp>, Affine<Fq>)]) -> Fpk {
         // Dedupe the Q sides serially up front, so the cache lock never
         // crosses into the parallel region.
@@ -262,7 +269,8 @@ impl PairingEngine {
     /// input order** and the single final exponentiation stays serial.
     /// Field multiplication in Fpk is commutative and associative, so the
     /// result is bit-identical to the product of per-pair Miller loops at
-    /// any thread count.
+    /// any thread count. Inputs must lie in G1 × G2, as for
+    /// [`PairingEngine::multi_pair`].
     pub fn multi_pair_prepared(&self, pairs: &[(Affine<Fp>, Arc<G2Prepared>)]) -> Fpk {
         let tower = self.curve.tower();
         let live: Vec<(&Affine<Fp>, &G2Prepared)> = pairs

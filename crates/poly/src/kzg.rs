@@ -318,6 +318,11 @@ impl<'a> Kzg<'a> {
 
     /// Verifies one opening (a batch of size one).
     ///
+    /// The commitment and the opening's points must lie in G1, the
+    /// precondition of the pairing check
+    /// ([`PairingAccumulator::push_check`]): decode them with
+    /// [`Curve::decode_g1`] or check them with [`Curve::validate_g1`].
+    ///
     /// # Errors
     ///
     /// [`PolyError::OpeningRejected`] when the pairing check fails.
@@ -340,7 +345,8 @@ impl<'a> Kzg<'a> {
     /// Verifies a batch of claims with one settle: two cached Miller
     /// loops and one final exponentiation, however many claims are
     /// pushed. On failure the batch is re-settled in isolating mode so
-    /// the error names the failing claims.
+    /// the error names the failing claims. Every claim's points must lie
+    /// in G1, as for [`Kzg::verify`].
     ///
     /// # Errors
     ///

@@ -11,6 +11,7 @@
 //! the boundary: [`Polynomial::new`] converts each coefficient once.
 
 use finesse_core::PolyError;
+use finesse_curves::{FieldOps, FpOps};
 use finesse_ff::{BigUint, Fp, FpCtx};
 use std::sync::Arc;
 
@@ -75,7 +76,7 @@ impl Polynomial {
         let field = Arc::clone(z0.ctx());
         // denoms[i] = Π_{j≠i} (zᵢ − zⱼ); a zero denominator is exactly a
         // duplicated evaluation point, caught here because
-        // `Fp::batch_invert` panics on zero.
+        // `FieldOps::batch_inv` panics on zero.
         let mut denoms = Vec::with_capacity(points.len());
         for (i, (zi, _)) in points.iter().enumerate() {
             let mut d = field.one();
@@ -89,7 +90,7 @@ impl Polynomial {
             }
             denoms.push(d);
         }
-        Fp::batch_invert(&mut denoms);
+        FpOps(Arc::clone(&field)).batch_inv(&mut denoms);
         // Σᵢ yᵢ · denomᵢ⁻¹ · Πⱼ≠ᵢ (X − zⱼ), accumulated coefficient-wise.
         let mut acc = vec![field.zero(); points.len()];
         for (i, ((_, yi), inv)) in points.iter().zip(&denoms).enumerate() {

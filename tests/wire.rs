@@ -10,11 +10,11 @@
 //! truncations, non-canonical field limbs, off-curve x coordinates (G1
 //! and compressed G2), and on-curve points outside the r-torsion — plus
 //! a differential check of the endomorphism-accelerated subgroup tests
-//! against the naive `[r]P` oracle.
+//! against the naive `[r]P` oracle, the in-memory validators the decoders
+//! end in, and the exact-byte cache of successful G2 decodes.
 
 use finesse_curves::{all_specs, Affine, Compression, Curve, DecodeError};
 use finesse_ff::{BigUint, Fp, Fq};
-use std::sync::Arc;
 
 /// Deterministic splitmix64: reproducible "random" inputs without an RNG
 /// dependency. Every failure reproduces from the constant seeds below.
@@ -30,11 +30,11 @@ impl SplitMix64 {
     }
 }
 
-fn random_g1(c: &Arc<Curve>, rng: &mut SplitMix64) -> Affine<Fp> {
+fn random_g1(c: &Curve, rng: &mut SplitMix64) -> Affine<Fp> {
     c.g1_mul(c.g1_generator(), &BigUint::from_u64(rng.next() | 1))
 }
 
-fn random_g2(c: &Arc<Curve>, rng: &mut SplitMix64) -> Affine<Fq> {
+fn random_g2(c: &Curve, rng: &mut SplitMix64) -> Affine<Fq> {
     c.g2_mul(c.g2_generator(), &BigUint::from_u64(rng.next() | 1))
 }
 
@@ -432,4 +432,210 @@ fn fast_subgroup_checks_match_the_naive_oracle_on_all_seven() {
             spec.name
         );
     }
+}
+
+#[test]
+fn validate_checks_in_memory_points_on_all_seven() {
+    let mut rng = SplitMix64(0x7A11_DA7E);
+    for spec in all_specs() {
+        let c = Curve::by_name(spec.name);
+        let tower = c.tower();
+        // Members: the generators, multiples of them, the identities.
+        let mut g1_members = vec![c.g1_generator().clone(), Affine::infinity(c.fp().zero())];
+        let mut g2_members = vec![c.g2_generator().clone(), Affine::infinity(tower.fq_zero())];
+        for _ in 0..2 {
+            g1_members.push(random_g1(&c, &mut rng));
+            g2_members.push(random_g2(&c, &mut rng));
+        }
+        for p in &g1_members {
+            assert_eq!(c.validate_g1(p), Ok(()), "{}: G1 member", spec.name);
+        }
+        for q in &g2_members {
+            assert_eq!(c.validate_g2(q), Ok(()), "{}: G2 member", spec.name);
+        }
+        // Uncleared x-increment points: outside the subgroup wherever the
+        // cofactor is above 1 (every built-in G2, and G1 on BLS curves).
+        let start = rng.next() >> 48;
+        let p = uncleaned_g1_point(&c, start);
+        let want = if c.g1_cofactor().is_one() {
+            Ok(())
+        } else {
+            Err(DecodeError::NotInSubgroup)
+        };
+        assert_eq!(c.validate_g1(&p), want, "{}: uncleared G1", spec.name);
+        let q = uncleaned_g2_point(&c, start);
+        assert_eq!(
+            c.validate_g2(&q),
+            Err(DecodeError::NotInSubgroup),
+            "{}: uncleared G2",
+            spec.name
+        );
+        // A perturbed y leaves the curve; the on-curve check comes first,
+        // so it is named even when the point is also off the subgroup.
+        let mut off_g1 = g1_members[2].clone();
+        off_g1.y = &off_g1.y + &c.fp().one();
+        assert_eq!(
+            c.validate_g1(&off_g1),
+            Err(DecodeError::NotOnCurve),
+            "{}: perturbed G1 y",
+            spec.name
+        );
+        let mut off_g2 = q.clone();
+        off_g2.y = tower.fq_add(&off_g2.y, &tower.fq_one());
+        assert_eq!(
+            c.validate_g2(&off_g2),
+            Err(DecodeError::NotOnCurve),
+            "{}: perturbed G2 y",
+            spec.name
+        );
+        // validate agrees with a strict decode of the point's encoding.
+        // The compressed form recomputes y, so the off-curve points are
+        // compared uncompressed only.
+        for pt in g1_members.iter().chain([&p]) {
+            for mode in [Compression::Compressed, Compression::Uncompressed] {
+                assert_eq!(
+                    c.validate_g1(pt).map(|()| pt.clone()),
+                    c.decode_g1(&c.encode_g1(pt, mode)),
+                    "{}: G1 validate vs decode ({mode:?})",
+                    spec.name
+                );
+            }
+        }
+        for pt in g2_members.iter().chain([&q]) {
+            for mode in [Compression::Compressed, Compression::Uncompressed] {
+                assert_eq!(
+                    c.validate_g2(pt).map(|()| pt.clone()),
+                    c.decode_g2(&c.encode_g2(pt, mode)),
+                    "{}: G2 validate vs decode ({mode:?})",
+                    spec.name
+                );
+            }
+        }
+        assert_eq!(
+            c.decode_g1(&c.encode_g1(&off_g1, Compression::Uncompressed)),
+            Err(DecodeError::NotOnCurve),
+            "{}: G1 decode of a perturbed y",
+            spec.name
+        );
+        assert_eq!(
+            c.decode_g2(&c.encode_g2(&off_g2, Compression::Uncompressed)),
+            Err(DecodeError::NotOnCurve),
+            "{}: G2 decode of a perturbed y",
+            spec.name
+        );
+    }
+}
+
+#[test]
+fn decode_cache_is_transparent_on_all_seven() {
+    let mut rng = SplitMix64(0xCAC4_E001);
+    for spec in all_specs() {
+        let c = Curve::by_name(spec.name);
+        for mode in [Compression::Compressed, Compression::Uncompressed] {
+            for q in [
+                c.g2_generator().clone(),
+                random_g2(&c, &mut rng),
+                Affine::infinity(c.tower().fq_zero()),
+            ] {
+                let enc = c.encode_g2(&q, mode);
+                let first = c.decode_g2(&enc);
+                let repeat = c.decode_g2(&enc);
+                assert_eq!(first, Ok(q.clone()), "{}: first decode", spec.name);
+                assert_eq!(repeat, first, "{}: repeat decode ({mode:?})", spec.name);
+            }
+        }
+    }
+}
+
+/// A curve of its own, so the cache-length checks below see only their
+/// own decodes while other tests decode on the shared registry curves.
+fn private_curve(name: &str) -> Curve {
+    let spec = finesse_curves::spec_by_name(name).expect("a Table-2 curve");
+    Curve::from_spec(spec).expect("built-in specs construct")
+}
+
+/// One G2 encoding of every malformed kind the tests above build, with
+/// the error each must get.
+fn malformed_g2(c: &Curve, rng: &mut SplitMix64) -> Vec<(Vec<u8>, DecodeError)> {
+    let tower = c.tower();
+    let honest = |rng: &mut SplitMix64, mode| c.encode_g2(&random_g2(c, rng), mode);
+    let mut out = Vec::new();
+    for mode in [Compression::Compressed, Compression::Uncompressed] {
+        let enc = honest(rng, mode);
+        for cut in [0, 1, enc.len() / 2, enc.len() - 1] {
+            let err = c.decode_g2(&enc[..cut]).unwrap_err();
+            assert!(matches!(err, DecodeError::Length { .. }));
+            out.push((enc[..cut].to_vec(), err));
+        }
+        let mut bad = enc.clone();
+        bad[0] = 0x07;
+        out.push((bad, DecodeError::InvalidTag(0x07)));
+        let q = uncleaned_g2_point(c, rng.next() >> 48);
+        out.push((c.encode_g2(&q, mode), DecodeError::NotInSubgroup));
+    }
+    let mut inf = c.encode_g2(&Affine::infinity(tower.fq_zero()), Compression::Compressed);
+    inf[1] = 0x01;
+    out.push((inf, DecodeError::NonCanonicalInfinity));
+    let w = c.fp().byte_len();
+    let mut enc = honest(rng, Compression::Uncompressed);
+    enc[1..1 + w].copy_from_slice(&biguint_bytes_be(c.p(), w));
+    out.push((enc, DecodeError::NonCanonicalField));
+    // An uncompressed point whose y no longer satisfies the twist
+    // equation, and a compressed x with x³ + b′ a non-square.
+    let q = random_g2(c, rng);
+    let off = Affine::new(q.x.clone(), tower.fq_add(&q.y, &tower.fq_one()));
+    out.push((
+        c.encode_g2(&off, Compression::Uncompressed),
+        DecodeError::NotOnCurve,
+    ));
+    let half_q = tower.q_order().shr(1);
+    let x = loop {
+        let x = tower.fq_sample(rng.next());
+        let rhs = tower.fq_add(&tower.fq_mul(&tower.fq_sqr(&x), &x), c.b_twist());
+        if !tower.fq_is_one(&tower.fq_pow(&rhs, &half_q)) {
+            break x;
+        }
+    };
+    let mut enc = honest(rng, Compression::Compressed);
+    enc[1..].copy_from_slice(&tower.fq_to_bytes_be(&x));
+    out.push((enc, DecodeError::NotOnCurve));
+    out
+}
+
+#[test]
+fn decode_cache_keeps_successes_only_and_stays_bounded() {
+    let mut rng = SplitMix64(0xB0D1_CAC4);
+    let c = private_curve("BLS12-381");
+    let (len, capacity) = c.g2_decode_cache_stats();
+    assert_eq!(len, 0, "a new curve starts with an empty decode cache");
+    // Rejections are never cached: a second decode of malformed bytes
+    // runs the full check again and names the same error.
+    for (bytes, want) in malformed_g2(&c, &mut rng) {
+        assert_eq!(c.decode_g2(&bytes), Err(want), "first decode");
+        assert_eq!(c.decode_g2(&bytes), Err(want), "repeat decode");
+        assert_eq!(c.g2_decode_cache_stats().0, 0, "{want:?} was cached");
+    }
+    // The compressed and the uncompressed encoding of one key are two
+    // entries, decoding to equal points.
+    let q = random_g2(&c, &mut rng);
+    let short = c.decode_g2(&c.encode_g2(&q, Compression::Compressed));
+    let long = c.decode_g2(&c.encode_g2(&q, Compression::Uncompressed));
+    assert_eq!(short, Ok(q.clone()));
+    assert_eq!(long, short);
+    assert_eq!(c.g2_decode_cache_stats().0, 2);
+    // The bound holds: capacity + 1 distinct keys leave capacity entries,
+    // and the evicted key still decodes correctly.
+    let points: Vec<Affine<Fq>> = (1..=capacity as u64 + 1)
+        .map(|i| c.g2_mul(&q, &BigUint::from_u64(i + 1)))
+        .collect();
+    let encodings: Vec<Vec<u8>> = points
+        .iter()
+        .map(|p| c.encode_g2(p, Compression::Compressed))
+        .collect();
+    for (p, bytes) in points.iter().zip(&encodings) {
+        assert_eq!(c.decode_g2(bytes).as_ref(), Ok(p));
+    }
+    assert_eq!(c.g2_decode_cache_stats(), (capacity, capacity));
+    assert_eq!(c.decode_g2(&encodings[0]).as_ref(), Ok(&points[0]));
+    assert_eq!(c.g2_decode_cache_stats(), (capacity, capacity));
 }
